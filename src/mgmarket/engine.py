@@ -111,9 +111,10 @@ def simulate_trajectory(
     n, s_slots, m = config.n_agents, config.n_strategies, config.memory
     warm, horizon = config.warmup_steps, config.horizon
     total_steps = warm + horizon
-    a1, a2 = config.a
+    a_own = config.a
     hist_mask = (1 << m) - 1
-    agent_rows = np.arange(n)
+    # flat index of each agent's slot 0 in an (agents, slots) decision array
+    row_off = np.arange(n) * s_slots
 
     prices = [np.empty(total_steps) for _ in range(2)]
     returns = [np.empty(total_steps) for _ in range(2)]
@@ -131,6 +132,7 @@ def simulate_trajectory(
         )
 
     prev_price = [config.initial_price, config.initial_price]
+    last_return = [0.0, 0.0]
     hist = [0, 0]
     scores = scoring.AgentScores.zeros(n, s_slots)
 
@@ -146,6 +148,7 @@ def simulate_trajectory(
         internal[j][step] = a_int
         total[j][step] = a_total
         prev_price[j] = price
+        last_return[j] = r
         hist[j] = ((hist[j] << 1) | (1 if r >= 0 else 0)) & hist_mask
         return a_total
 
@@ -156,25 +159,34 @@ def simulate_trajectory(
 
     b_per_stock = (components.couplings.b1, components.couplings.b2)
     mean_b = (float(b_per_stock[0].mean()), float(b_per_stock[1].mean()))
+    tables = components.tables
+    tiebreak_rngs = components.tiebreak_rngs
+    event_rngs = components.event_rngs
+    stock_scores = (scores.values[0], scores.values[1])
+    # per-step scratch, reused by both stocks: state_idx is consumed by
+    # decide_all_slots (and copied into the trace) before the next stock
+    expected = np.empty(n)
+    e_bits = np.empty(n, dtype=bool)
+    state_idx = np.empty(n, dtype=np.int64)
     for t in range(horizon):
         step = warm + t
-        lag = (returns[0][step - 1], returns[1][step - 1])
+        lag = tuple(last_return)
         for j in (0, 1):
-            a_j = a1 if j == 0 else a2
-            expected = a_j * lag[j] + b_per_stock[j] * lag[1 - j]
-            e_bits = (expected >= 0.0).astype(np.int64)
-            state_idx = (hist[j] << 1) | e_bits
+            np.multiply(b_per_stock[j], lag[1 - j], out=expected)
+            expected += a_own[j] * lag[j]
+            np.greater_equal(expected, 0.0, out=e_bits)
+            np.add(e_bits, hist[j] << 1, out=state_idx)
 
-            slot = scoring.select_slots(scores.values[j], components.tiebreak_rngs[j])
-            decisions = strategy.decide_all_slots(components.tables[j], state_idx)
-            played = decisions[agent_rows, slot]
+            slot = scoring.select_slots(stock_scores[j], tiebreak_rngs[j])
+            decisions = strategy.decide_all_slots(tables[j], state_idx)
+            played = decisions.reshape(-1)[row_off + slot]
             a_int = market.excess_demand(played)
             a_ext = 0.0
             if event_states is not None:
-                a_ext = market.external_demand(event_states[j], components.event_rngs[j])
+                a_ext = market.external_demand(event_states[j], event_rngs[j])
 
             a_total = advance(j, step, a_int, a_ext)
-            scoring.update_scores(scores.values[j], decisions, a_total)
+            scoring.update_scores(stock_scores[j], decisions, a_total)
 
             if trace is not None:
                 trace.state_indices[j, t] = state_idx
@@ -184,8 +196,7 @@ def simulate_trajectory(
         # record the population-mean expectation standing after this step's
         # returns, i.e. the forecast agents carry into the next step
         for j in (0, 1):
-            a_j = a1 if j == 0 else a2
-            re_mean[j][t] = a_j * returns[j][step] + mean_b[j] * returns[1 - j][step]
+            re_mean[j][t] = a_own[j] * last_return[j] + mean_b[j] * last_return[1 - j]
 
     if trace is not None:
         trace.final_scores[:] = scores.values

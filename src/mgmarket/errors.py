@@ -29,6 +29,11 @@ class NonPositivePriceError(RuntimeError):
             where = f" (stock {stock}, step {step})"
         super().__init__(f"price update produced non-positive price {price!r}{where}")
 
+    def __reduce__(self):
+        # the default rebuilds from ``args``, the formatted message, which
+        # would land in ``price`` when a process pool returns the error
+        return type(self), (self.price, self.stock, self.step)
+
 
 class DegenerateSeriesError(ValueError):
     """A statistic is undefined because a series is constant or too short."""

@@ -69,10 +69,30 @@ def select_slots(scores: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     Draws one jitter value per (agent, slot) every call, so stream consumption
     is a fixed function of the shape; the jitter only ranks exactly tied slots
     and can never reorder distinct scores.
+
+    The choice is argmax over slots of the key ``jitter`` where the slot's
+    score equals the agent's top score and ``-1`` elsewhere.  It is computed
+    column by column, because the slot axis is only a few entries wide and
+    per-column elementwise operations on (agents,) vectors cost less than
+    reductions over axis 1: the top is a running ``np.maximum`` of the
+    columns, and the running best key is replaced only by a strictly greater
+    key.  Jitter lies in [0, 1), so a tied slot always beats an untied one,
+    and on equal keys the earlier slot stays, which is argmax's
+    first-occurrence rule; the result is the argmax index bit for bit.
     """
     jitter = rng.random(scores.shape)
-    tied = scores == scores.max(axis=1, keepdims=True)
-    return np.argmax(np.where(tied, jitter, -1.0), axis=1)
+    columns = scores.T
+    top = columns[0]
+    for column in columns[1:]:
+        top = np.maximum(top, column)
+    slot = np.zeros(len(scores), dtype=np.intp)
+    best = np.where(columns[0] == top, jitter[:, 0], -1.0)
+    for k in range(1, len(columns)):
+        key = np.where(columns[k] == top, jitter[:, k], -1.0)
+        better = key > best
+        np.putmask(slot, better, k)
+        np.maximum(best, key, out=best)
+    return slot
 
 
 def select_strategy(scores_row: Sequence[float], rng: np.random.Generator) -> int:

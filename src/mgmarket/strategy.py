@@ -10,6 +10,7 @@ cancel to zero, so the binary alphabet needs a tie rule).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -104,11 +105,20 @@ def lookup(strategy: Strategy, state: InfoState | int) -> int:
     return int(strategy.table[index])
 
 
+@functools.lru_cache(maxsize=16)
+def _row_offsets(n_agents: int, n_strategies: int, n_rows: int) -> np.ndarray:
+    """Flat index of row 0 of every (agent, slot) table, read-only and shared."""
+    offsets = np.arange(n_agents * n_strategies, dtype=np.intp).reshape(n_agents, n_strategies)
+    offsets *= n_rows
+    offsets.flags.writeable = False
+    return offsets
+
+
 def decide_all_slots(tables: np.ndarray, state_index: np.ndarray) -> np.ndarray:
     """Decisions of every strategy slot at each agent's state.
 
     ``tables`` is (agents, slots, rows); ``state_index`` is (agents,).
-    Returns an (agents, slots) array.
+    Returns an (agents, slots) array, gathered in one flat take from the
+    C-ordered tables.
     """
-    idx = state_index[:, None, None]
-    return np.take_along_axis(tables, idx, axis=2)[:, :, 0]
+    return tables.reshape(-1)[_row_offsets(*tables.shape) + state_index[:, None]]

@@ -2,7 +2,9 @@
 engine.  Deliberately written with per-agent Python loops and simple data
 structures; they share only the stream-consumption protocol with the real
 engine, so any vectorization or indexing mistake shows up as a bit-level
-demand mismatch.
+demand mismatch.  The whole-array kernels the engine used before its
+column-wise rewrite are kept here too, as bit-for-bit oracles of the current
+ones.
 """
 
 import math
@@ -10,6 +12,19 @@ import math
 import numpy as np
 
 from mgmarket import seeding
+
+
+def select_slots_argmax(scores, rng):
+    """The whole-array form of ``scoring.select_slots``: argmax of the jitter
+    among the slots tied at each agent's maximum, -1 on the others."""
+    jitter = rng.random(scores.shape)
+    tied = scores == scores.max(axis=1, keepdims=True)
+    return np.argmax(np.where(tied, jitter, -1.0), axis=1)
+
+
+def decide_all_slots_take(tables, state_index):
+    """The ``take_along_axis`` form of ``strategy.decide_all_slots``."""
+    return np.take_along_axis(tables, state_index[:, None, None], axis=2)[:, :, 0]
 
 
 def _step_price(price: float, demand: float) -> float:

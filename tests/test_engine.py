@@ -166,6 +166,18 @@ def test_nonpositive_price_aborts_with_context():
     assert err.value.step is not None
 
 
+def test_nonpositive_price_error_crosses_the_process_pool_intact():
+    cfg = small_config(initial_price=1.0)
+    with pytest.raises(NonPositivePriceError) as serial:
+        run_many(cfg, threads=1)
+    with pytest.raises(NonPositivePriceError) as pooled:
+        run_many(cfg, threads=2)
+    assert str(pooled.value) == str(serial.value)
+    assert (pooled.value.price, pooled.value.stock, pooled.value.step) == (
+        serial.value.price, serial.value.stock, serial.value.step
+    )
+
+
 def test_event_p_zero_is_bit_identical_to_no_events():
     base = small_config(horizon=100)
     plain = run(base, 0)

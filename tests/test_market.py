@@ -1,5 +1,6 @@
 import io
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -38,6 +39,14 @@ def test_update_price_examples():
 def test_update_price_rejects_nonpositive_result():
     with pytest.raises(NonPositivePriceError):
         update_price(2.0, -9)
+
+
+def test_nonpositive_price_error_survives_pickling():
+    err = NonPositivePriceError(-8.19, stock=2, step=460)
+    back = pickle.loads(pickle.dumps(err))
+    assert type(back) is NonPositivePriceError
+    assert str(back) == str(err) == "price update produced non-positive price -8.19 (stock 2, step 460)"
+    assert (back.price, back.stock, back.step) == (-8.19, 2, 460)
 
 
 def test_log_return_examples():

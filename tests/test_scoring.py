@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from mgmarket.scoring import (
     AgentScores,
@@ -10,6 +11,8 @@ from mgmarket.scoring import (
     update_all_scores,
     update_scores,
 )
+
+from reference_engine import select_slots_argmax
 
 
 def test_payoff_majority_penalized():
@@ -91,3 +94,46 @@ def test_select_slots_never_reorders_distinct_scores(rng):
     scores = np.array([[0.0, 1e-12]])
     for _ in range(50):
         assert select_slots(scores, rng)[0] == 1
+
+
+SHAPES = st.tuples(st.integers(1, 64), st.integers(1, 4))
+
+
+def _assert_same_choice(scores, seed):
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = select_slots(scores, ours)
+    want = select_slots_argmax(scores, theirs)
+    assert got.dtype == want.dtype
+    assert got.tolist() == want.tolist()
+    # both consumed the same draws
+    assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+@given(data=st.data(), shape=SHAPES, seed=st.integers(0, 2**32 - 1))
+def test_select_slots_matches_argmax_oracle_on_integer_scores(data, shape, seed):
+    # a tiny integer alphabet, as the scores of runs without events: ties
+    # between slots are the common case
+    scores = data.draw(hnp.arrays(np.float64, shape, elements=st.integers(-2, 2).map(float)))
+    _assert_same_choice(scores, seed)
+
+
+@given(data=st.data(), shape=SHAPES, seed=st.integers(0, 2**32 - 1))
+def test_select_slots_matches_argmax_oracle_on_event_like_scores(data, shape, seed):
+    # scores accumulated as update_scores does from float demands (integer
+    # internal demand plus or minus a shock amplitude); slots that made the
+    # same decisions tie exactly, others differ in the last bits or more
+    n, s = shape
+    amplitude = data.draw(st.floats(0.1, 50.0))
+    demands = data.draw(
+        st.lists(
+            st.tuples(st.integers(-9, 9), st.sampled_from((-1, 0, 1))).map(
+                lambda d: d[0] + d[1] * amplitude
+            ),
+            max_size=6,
+        )
+    )
+    scores = np.zeros(shape)
+    for demand in demands:
+        decisions = data.draw(hnp.arrays(np.int8, shape, elements=st.sampled_from((-1, 1))))
+        update_scores(scores, decisions, demand)
+    _assert_same_choice(scores, seed)

@@ -3,9 +3,12 @@ import itertools
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from mgmarket import strategy
 from mgmarket.strategy import InfoState, Strategy, encode
+
+from reference_engine import decide_all_slots_take
 
 
 def test_encode_all_ones_m1():
@@ -94,6 +97,36 @@ def test_decide_all_slots_gathers_per_agent_states():
     )
     out = strategy.decide_all_slots(tables, np.array([3, 0]))
     assert out.tolist() == [[1, -1], [1, -1]]
+
+
+@given(
+    data=st.data(),
+    n=st.integers(1, 64),
+    s=st.integers(1, 4),
+    memory=st.integers(0, 4),
+    strided=st.booleans(),
+)
+def test_decide_all_slots_matches_take_along_axis_oracle(data, n, s, memory, strided):
+    rows = strategy.n_states(memory)
+    shape = (n, 2 * s, rows) if strided else (n, s, rows)
+    tables = data.draw(hnp.arrays(np.int8, shape, elements=st.sampled_from((-1, 0, 1))))
+    if strided:  # a non-contiguous view, as hand-built tables may be
+        tables = tables[:, ::2]
+    state_index = data.draw(hnp.arrays(np.int64, n, elements=st.integers(0, rows - 1)))
+    got = strategy.decide_all_slots(tables, state_index)
+    want = decide_all_slots_take(tables, state_index)
+    assert got.dtype == want.dtype
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+def test_decide_all_slots_shares_read_only_offsets():
+    tables = np.zeros((3, 2, 4), dtype=np.int8)
+    strategy.decide_all_slots(tables, np.zeros(3, dtype=np.int64))
+    offsets = strategy._row_offsets(3, 2, 4)
+    assert offsets is strategy._row_offsets(3, 2, 4)
+    with pytest.raises(ValueError):
+        offsets[0, 0] = 1
 
 
 def test_strategy_rejects_bad_table_length():
