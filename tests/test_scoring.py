@@ -122,7 +122,6 @@ def test_select_slots_matches_argmax_oracle_on_event_like_scores(data, shape, se
     # scores accumulated as update_scores does from float demands (integer
     # internal demand plus or minus a shock amplitude); slots that made the
     # same decisions tie exactly, others differ in the last bits or more
-    n, s = shape
     amplitude = data.draw(st.floats(0.1, 50.0))
     demands = data.draw(
         st.lists(

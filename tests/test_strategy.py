@@ -121,8 +121,6 @@ def test_decide_all_slots_matches_take_along_axis_oracle(data, n, s, memory, str
 
 
 def test_decide_all_slots_shares_read_only_offsets():
-    tables = np.zeros((3, 2, 4), dtype=np.int8)
-    strategy.decide_all_slots(tables, np.zeros(3, dtype=np.int64))
     offsets = strategy._row_offsets(3, 2, 4)
     assert offsets is strategy._row_offsets(3, 2, 4)
     with pytest.raises(ValueError):
