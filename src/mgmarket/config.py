@@ -19,6 +19,9 @@ BINARY_DECISIONS = (-1, 1)
 HOLD_DECISIONS = (-1, 0, 1)
 
 _MAX_MEMORY = 20  # 2^(m+1) strategy rows; anything bigger is a config mistake
+# bytes of the int64 draw behind one stock's strategy tables
+# (see strategy.sample_strategy_tables); configs above it cannot fit in memory
+_MAX_TABLE_DRAW_BYTES = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -90,6 +93,13 @@ def validate(config: ModelConfig) -> ModelConfig:
         raise ConfigError(f"memory {config.memory} exceeds supported maximum {_MAX_MEMORY}")
     if config.n_strategies <= 0:
         raise ConfigError(f"n_strategies must be positive, got {config.n_strategies}")
+    table_bytes = 8 * config.n_agents * config.n_strategies * 2 ** (config.memory + 1)
+    if table_bytes > _MAX_TABLE_DRAW_BYTES:
+        raise ConfigError(
+            f"strategy tables of n_agents={config.n_agents}, n_strategies={config.n_strategies},"
+            f" memory={config.memory} need a {table_bytes}-byte draw per stock,"
+            f" over the {_MAX_TABLE_DRAW_BYTES}-byte limit"
+        )
     if config.horizon <= 0:
         raise ConfigError(f"horizon must be positive, got {config.horizon}")
     if config.initial_price <= 0:

@@ -113,8 +113,9 @@ def simulate_trajectory(
     total_steps = warm + horizon
     a_own = config.a
     hist_mask = (1 << m) - 1
-    # flat index of each agent's slot 0 in an (agents, slots) decision array
-    row_off = np.arange(n) * s_slots
+    # flat index of each agent's entry in slot 0 of a slot-major
+    # (slots, agents) decision array; slot k adds k * n
+    agent_ids = np.arange(n)
 
     prices = [np.empty(total_steps) for _ in range(2)]
     returns = [np.empty(total_steps) for _ in range(2)]
@@ -134,7 +135,8 @@ def simulate_trajectory(
     prev_price = [config.initial_price, config.initial_price]
     last_return = [0.0, 0.0]
     hist = [0, 0]
-    scores = scoring.AgentScores.zeros(n, s_slots)
+    # slot-major, so every per-slot column the kernels touch is contiguous
+    scores = np.zeros((2, s_slots, n))
 
     def advance(j: int, step: int, a_int: int, a_ext: float) -> float:
         a_total = market.combined_demand(a_int, a_ext)
@@ -162,7 +164,7 @@ def simulate_trajectory(
     tables = components.tables
     tiebreak_rngs = components.tiebreak_rngs
     event_rngs = components.event_rngs
-    stock_scores = (scores.values[0], scores.values[1])
+    stock_scores = (scores[0].T, scores[1].T)
     # per-step scratch, reused by both stocks: state_idx is consumed by
     # decide_all_slots (and copied into the trace) before the next stock
     expected = np.empty(n)
@@ -179,7 +181,7 @@ def simulate_trajectory(
 
             slot = scoring.select_slots(stock_scores[j], tiebreak_rngs[j])
             decisions = strategy.decide_all_slots(tables[j], state_idx)
-            played = decisions.reshape(-1)[row_off + slot]
+            played = decisions.T.reshape(-1)[agent_ids + slot * n]
             a_int = market.excess_demand(played)
             a_ext = 0.0
             if event_states is not None:
@@ -199,7 +201,7 @@ def simulate_trajectory(
             re_mean[j][t] = a_own[j] * last_return[j] + mean_b[j] * last_return[1 - j]
 
     if trace is not None:
-        trace.final_scores[:] = scores.values
+        trace.final_scores[:] = scores.transpose(0, 2, 1)
 
     stocks = tuple(
         StockSeries(

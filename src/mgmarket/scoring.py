@@ -72,26 +72,33 @@ def select_slots(scores: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 
     The choice is argmax over slots of the key ``jitter`` where the slot's
     score equals the agent's top score and ``-1`` elsewhere.  It is computed
-    column by column, because the slot axis is only a few entries wide and
-    per-column elementwise operations on (agents,) vectors cost less than
-    reductions over axis 1: the top is a running ``np.maximum`` of the
-    columns, and the running best key is replaced only by a strictly greater
-    key.  Jitter lies in [0, 1), so a tied slot always beats an untied one,
-    and on equal keys the earlier slot stays, which is argmax's
-    first-occurrence rule; the result is the argmax index bit for bit.
+    as a tournament over the slot columns, each an (agents,) vector, because
+    the slot axis is only a few entries wide and elementwise operations along
+    the agent axis cost less than reductions over axis 1.  The running winner
+    carries its score ``best`` and its jitter ``best_key``; column k takes
+    over where its score is strictly higher, or equal with a strictly greater
+    jitter.  That keeps the winner at the top score, with the greatest jitter
+    among the slots tied there and the earliest slot on equal jitter, which
+    is argmax's first-occurrence rule; the result is the argmax index bit for
+    bit.  Scores passed as the transpose of a slot-major (slots, agents)
+    array make every column a contiguous row.
     """
     jitter = rng.random(scores.shape)
-    columns = scores.T
-    top = columns[0]
-    for column in columns[1:]:
-        top = np.maximum(top, column)
-    slot = np.zeros(len(scores), dtype=np.intp)
-    best = np.where(columns[0] == top, jitter[:, 0], -1.0)
-    for k in range(1, len(columns)):
-        key = np.where(columns[k] == top, jitter[:, k], -1.0)
-        better = key > best
-        np.putmask(slot, better, k)
-        np.maximum(best, key, out=best)
+    n_slots = scores.shape[1]
+    if n_slots == 1:
+        return np.zeros(len(scores), dtype=np.intp)
+    columns, keys = scores.T, jitter.T
+    best, best_key = columns[0], keys[0]
+    for k in range(1, n_slots):
+        column, key = columns[k], keys[k]
+        take = (column > best) | ((column == best) & (key > best_key))
+        if k == 1:
+            slot = take.astype(np.intp)
+        else:
+            np.putmask(slot, take, k)
+        if k + 1 < n_slots:
+            best = np.where(take, column, best)
+            best_key = np.where(take, key, best_key)
     return slot
 
 

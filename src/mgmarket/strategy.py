@@ -107,9 +107,11 @@ def lookup(strategy: Strategy, state: InfoState | int) -> int:
 
 @functools.lru_cache(maxsize=16)
 def _row_offsets(n_agents: int, n_strategies: int, n_rows: int) -> np.ndarray:
-    """Flat index of row 0 of every (agent, slot) table, read-only and shared."""
-    offsets = np.arange(n_agents * n_strategies, dtype=np.intp).reshape(n_agents, n_strategies)
-    offsets *= n_rows
+    """Flat index of row 0 of every table, slot-major: element (slot, agent)
+    is the offset of that agent's table for that slot.  Read-only and shared."""
+    agents = np.arange(n_agents, dtype=np.intp) * n_strategies
+    slots = np.arange(n_strategies, dtype=np.intp)[:, None]
+    offsets = (agents + slots) * n_rows
     offsets.flags.writeable = False
     return offsets
 
@@ -118,7 +120,9 @@ def decide_all_slots(tables: np.ndarray, state_index: np.ndarray) -> np.ndarray:
     """Decisions of every strategy slot at each agent's state.
 
     ``tables`` is (agents, slots, rows); ``state_index`` is (agents,).
-    Returns an (agents, slots) array, gathered in one flat take from the
-    C-ordered tables.
+    Returns an (agents, slots) array: the transpose of a contiguous
+    (slots, agents) array, gathered in one flat take from the C-ordered
+    tables with the slot-major offsets, so the index add runs along the
+    agent axis.
     """
-    return tables.reshape(-1)[_row_offsets(*tables.shape) + state_index[:, None]]
+    return tables.reshape(-1)[_row_offsets(*tables.shape) + state_index].T

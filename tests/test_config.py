@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -15,6 +17,9 @@ from mgmarket import (
     validate,
 )
 from mgmarket.config import from_items, parse_items
+
+from conftest import small_config
+from test_golden import CASES as GOLDEN_CASES
 
 
 def test_paper_scale_config_accepted():
@@ -110,3 +115,45 @@ def test_mixed_coupling_keys_rejected():
 def test_uniform_keys_with_homogeneous_kind_rejected():
     with pytest.raises(ConfigError):
         from_items({"coupling": "homogeneous", "delta1": 1.0})
+
+
+def test_strategy_tables_over_memory_budget_rejected_without_allocating():
+    # memory = 20 at paper scale asks for an int64 draw of
+    # 8 * 1001 * 2 * 2^21 bytes (about 33.6 GB) per stock
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match="33587986432-byte draw"):
+            validate(ModelConfig(memory=20))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_memory_budget_is_inclusive():
+    # 8 bytes * 1 agent * 128 slots * 2^20 rows is exactly 1 GiB
+    at_limit = ModelConfig(n_agents=1, n_strategies=128, memory=19)
+    assert validate(at_limit) is at_limit
+    with pytest.raises(ConfigError, match="1082130432-byte draw"):
+        validate(ModelConfig(n_agents=1, n_strategies=129, memory=19))
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+def test_golden_configs_within_memory_budget(name):
+    cfg = small_config(**GOLDEN_CASES[name])
+    assert validate(cfg) is cfg
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        dict(n_agents=1001, horizon=1000, n_runs=4),
+        dict(n_agents=1001, horizon=1000, n_runs=1, events=EventModel(0.0082, 4.0)),
+        dict(n_agents=101, horizon=1000, n_runs=3, memory=3, n_strategies=3, allow_hold=True,
+             coupling=UniformCoupling(1.0, 1.0, 1.0, 1.0)),
+    ],
+    ids=["paper_cell", "events_grid", "cli_pipeline"],
+)
+def test_benchmark_configs_within_memory_budget(overrides):
+    cfg = ModelConfig(**overrides)
+    assert validate(cfg) is cfg

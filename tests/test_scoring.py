@@ -99,7 +99,9 @@ def test_select_slots_never_reorders_distinct_scores(rng):
 SHAPES = st.tuples(st.integers(1, 64), st.integers(1, 4))
 
 
-def _assert_same_choice(scores, seed):
+def _assert_same_choice(scores, seed, transposed):
+    if transposed:  # the (agents, slots) view of slot-major scores, as the engine passes
+        scores = np.ascontiguousarray(scores.T).T
     ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
     got = select_slots(scores, ours)
     want = select_slots_argmax(scores, theirs)
@@ -109,16 +111,16 @@ def _assert_same_choice(scores, seed):
     assert ours.bit_generator.state == theirs.bit_generator.state
 
 
-@given(data=st.data(), shape=SHAPES, seed=st.integers(0, 2**32 - 1))
-def test_select_slots_matches_argmax_oracle_on_integer_scores(data, shape, seed):
+@given(data=st.data(), shape=SHAPES, seed=st.integers(0, 2**32 - 1), transposed=st.booleans())
+def test_select_slots_matches_argmax_oracle_on_integer_scores(data, shape, seed, transposed):
     # a tiny integer alphabet, as the scores of runs without events: ties
     # between slots are the common case
     scores = data.draw(hnp.arrays(np.float64, shape, elements=st.integers(-2, 2).map(float)))
-    _assert_same_choice(scores, seed)
+    _assert_same_choice(scores, seed, transposed)
 
 
-@given(data=st.data(), shape=SHAPES, seed=st.integers(0, 2**32 - 1))
-def test_select_slots_matches_argmax_oracle_on_event_like_scores(data, shape, seed):
+@given(data=st.data(), shape=SHAPES, seed=st.integers(0, 2**32 - 1), transposed=st.booleans())
+def test_select_slots_matches_argmax_oracle_on_event_like_scores(data, shape, seed, transposed):
     # scores accumulated as update_scores does from float demands (integer
     # internal demand plus or minus a shock amplitude); slots that made the
     # same decisions tie exactly, others differ in the last bits or more
@@ -135,4 +137,20 @@ def test_select_slots_matches_argmax_oracle_on_event_like_scores(data, shape, se
     for demand in demands:
         decisions = data.draw(hnp.arrays(np.int8, shape, elements=st.sampled_from((-1, 1))))
         update_scores(scores, decisions, demand)
-    _assert_same_choice(scores, seed)
+    _assert_same_choice(scores, seed, transposed)
+
+
+@given(data=st.data(), shape=SHAPES)
+def test_update_scores_on_slot_major_views_matches_row_major(data, shape):
+    # the engine keeps scores and gathered decisions slot-major and passes
+    # their (agents, slots) transposes; the in-place update must not depend
+    # on the memory order
+    start = data.draw(hnp.arrays(np.float64, shape, elements=st.integers(-50, 50).map(float)))
+    decisions = data.draw(hnp.arrays(np.int8, shape, elements=st.sampled_from((-1, 0, 1))))
+    demand = data.draw(st.floats(-1e3, 1e3, allow_nan=False))
+    row_major = start.copy()
+    update_scores(row_major, decisions, demand)
+    slot_major = np.ascontiguousarray(start.T).T
+    update_scores(slot_major, np.ascontiguousarray(decisions.T).T, demand)
+    assert slot_major.flags.f_contiguous
+    assert slot_major.tobytes() == row_major.tobytes()

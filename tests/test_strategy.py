@@ -118,6 +118,7 @@ def test_decide_all_slots_matches_take_along_axis_oracle(data, n, s, memory, str
     assert got.dtype == want.dtype
     assert got.shape == want.shape
     assert np.array_equal(got, want)
+    assert got.T.flags.c_contiguous  # slot-major underneath, as the engine reads it
 
 
 def test_decide_all_slots_shares_read_only_offsets():
