@@ -20,7 +20,7 @@ from .config import (
     to_text,
     validate,
 )
-from .engine import BatchResult, RunResult, pooled_samples, run, run_many, run_traced
+from .engine import BatchResult, RunResult, run, run_many, run_traced
 from .errors import (
     CoefficientOutOfRangeError,
     ConfigError,
@@ -70,7 +70,6 @@ __all__ = [
     "from_text",
     "ols",
     "pearson",
-    "pooled_samples",
     "predict_correlation_sign",
     "read_config",
     "run",

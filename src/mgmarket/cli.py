@@ -18,7 +18,7 @@ import json
 import os
 import sys
 import tempfile
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -69,6 +69,22 @@ def _atomic_open(path: str):
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _write_report(path: str | None, header: list[str], rows) -> None:
+    """Write a CSV report atomically to ``path``, or to stdout without one."""
+    with _atomic_open(path) if path else nullcontext(sys.stdout) as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _float_list(text: str) -> list[float]:
+    """argparse type of a comma-separated list of numbers."""
+    try:
+        return [float(v) for v in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected numbers, got {text!r}") from None
 
 
 def _add_model_flags(parser: argparse.ArgumentParser) -> None:
@@ -199,54 +215,35 @@ def _grid_out_path(base: str, strength: float) -> str:
     return f"{root}_k{strength:g}{ext or '.csv'}"
 
 
+# experiment -> (sweep function name, axis flags, default axis).  The function
+# is looked up by name at call time, so a wrapper patched onto the sweep
+# module's attribute is the one called.
+_EXPERIMENTS = {
+    "homogeneous": ("sweep_homogeneous", ("b1", "b2"), sweep.default_homogeneous_axis),
+    "holding": ("sweep_homogeneous", ("b1", "b2"), sweep.default_homogeneous_axis),
+    "centers": ("sweep_centers", ("c1", "c2"), sweep.default_centers_axis),
+    "ranges": ("sweep_ranges", ("delta1", "delta2"), sweep.default_ranges_axis),
+    "events": ("sweep_events", ("b1", "b2"), sweep.default_homogeneous_axis),
+}
+
+
 def _cmd_sweep(args) -> CommandOutcome:
     config, _ = _resolve_config(args)
-    threads = args.threads
-    collect = args.scatter_out is not None
-    grids: list[sweep.SweepGrid]
-
-    if args.experiment in ("homogeneous", "holding"):
-        if args.experiment == "holding":
-            config = replace(config, allow_hold=True)
-        grid = sweep.sweep_homogeneous(
-            config,
-            b1_values=_axis_from_flags(args, "b1", sweep.default_homogeneous_axis()),
-            b2_values=_axis_from_flags(args, "b2", sweep.default_homogeneous_axis()),
-            threads=threads,
-            collect_samples=collect,
-        )
-        grids = [grid]
-    elif args.experiment == "centers":
-        config = _ensure_uniform(config, default_delta=1.0)
-        grid = sweep.sweep_centers(
-            config,
-            c1_values=_axis_from_flags(args, "c1", sweep.default_centers_axis()),
-            c2_values=_axis_from_flags(args, "c2", sweep.default_centers_axis()),
-            threads=threads,
-            collect_samples=collect,
-        )
-        grids = [grid]
-    elif args.experiment == "ranges":
-        config = _ensure_uniform(config, default_delta=1.0)
-        grid = sweep.sweep_ranges(
-            config,
-            delta1_values=_axis_from_flags(args, "delta1", sweep.default_ranges_axis()),
-            delta2_values=_axis_from_flags(args, "delta2", sweep.default_ranges_axis()),
-            threads=threads,
-            collect_samples=collect,
-        )
-        grids = [grid]
-    else:  # events
-        k_values = [float(v) for v in args.k_values.split(",")] if args.k_values else [1.0, 2.0, 3.0, 4.0]
-        grids = sweep.sweep_events(
-            config,
-            k_values=k_values,
-            b1_values=_axis_from_flags(args, "b1", sweep.default_homogeneous_axis()),
-            b2_values=_axis_from_flags(args, "b2", sweep.default_homogeneous_axis()),
-            probability=args.event_probability,
-            threads=threads,
-            collect_samples=collect,
-        )
+    name, axis_flags, default_axis = _EXPERIMENTS[args.experiment]
+    if args.experiment == "holding":
+        config = replace(config, allow_hold=True)
+    elif args.experiment in ("centers", "ranges"):
+        if not isinstance(config.coupling, UniformCoupling):
+            config = replace(config, coupling=UniformCoupling(0.0, 1.0, 0.0, 1.0))
+    kwargs = {f"{flag}_values": _axis_from_flags(args, flag, default_axis()) for flag in axis_flags}
+    if args.experiment == "events":
+        kwargs["probability"] = args.event_probability
+        if args.k_values:
+            kwargs["k_values"] = args.k_values
+    result = getattr(sweep, name)(
+        config, threads=args.threads, collect_samples=args.scatter_out is not None, **kwargs
+    )
+    grids: list[sweep.SweepGrid] = result if isinstance(result, list) else [result]
 
     for grid in grids:
         out = args.out
@@ -269,14 +266,6 @@ def _cmd_sweep(args) -> CommandOutcome:
             f"in {grid.elapsed_seconds:.1f}s"
         )
     return CommandOutcome(0)
-
-
-def _ensure_uniform(config: ModelConfig, default_delta: float) -> ModelConfig:
-    if isinstance(config.coupling, UniformCoupling):
-        return config
-    return replace(
-        config, coupling=UniformCoupling(0.0, default_delta, 0.0, default_delta)
-    )
 
 
 def _load_samples(paths) -> dict[int, list[tuple[np.ndarray, np.ndarray]]]:
@@ -318,16 +307,7 @@ def _cmd_regress(args) -> CommandOutcome:
         rows.append(
             [stock, repr(report.beta1), repr(report.p_value), repr(report.r_squared), report.n]
         )
-    header = ["stock", "beta1", "p_value", "r_squared", "n"]
-    if args.out:
-        with _atomic_open(args.out) as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
-    else:
-        writer = csv.writer(sys.stdout)
-        writer.writerow(header)
-        writer.writerows(rows)
+    _write_report(args.out, ["stock", "beta1", "p_value", "r_squared", "n"], rows)
     return CommandOutcome(0)
 
 
@@ -340,16 +320,7 @@ def _cmd_ar1(args) -> CommandOutcome:
         series_list = [y for _x, y in per_stock[stock]]
         report = stats.ar1_pooled(series_list)
         rows.append([stock, repr(report.phi), report.n])
-    header = ["stock", "phi", "n"]
-    if args.out:
-        with _atomic_open(args.out) as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
-    else:
-        writer = csv.writer(sys.stdout)
-        writer.writerow(header)
-        writer.writerows(rows)
+    _write_report(args.out, ["stock", "phi", "n"], rows)
     return CommandOutcome(0)
 
 
@@ -369,15 +340,16 @@ def _cmd_verify_appendix(args) -> CommandOutcome:
             + (f"  {check.detail}" if check.detail else "")
         )
     if args.out:
-        with _atomic_open(args.out) as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["regime", "input", "output", "feasibility", "condition", "trend"])
-            for check in report.checks:
-                writer.writerow(
-                    [check.regime, analytic.quadrant_str(check.input_quadrant),
-                     analytic.quadrant_str(check.output_quadrant),
-                     fmt(check.feasibility_ok), fmt(check.condition_ok), fmt(check.trend_ok)]
-                )
+        _write_report(
+            args.out,
+            ["regime", "input", "output", "feasibility", "condition", "trend"],
+            (
+                [check.regime, analytic.quadrant_str(check.input_quadrant),
+                 analytic.quadrant_str(check.output_quadrant),
+                 fmt(check.feasibility_ok), fmt(check.condition_ok), fmt(check.trend_ok)]
+                for check in report.checks
+            ),
+        )
     if report.passed:
         print(f"verify-appendix: all {len(report.checks)} cells agree at {report.n_samples} samples")
         return CommandOutcome(0)
@@ -408,7 +380,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(f"--{axis}-min", type=float, dest=f"{axis}_min")
         p.add_argument(f"--{axis}-max", type=float, dest=f"{axis}_max")
         p.add_argument(f"--{axis}-step", type=float, dest=f"{axis}_step")
-    p.add_argument("--k-values", dest="k_values", help="comma-separated shock strengths")
+    p.add_argument(
+        "--k-values", dest="k_values", type=_float_list, help="comma-separated shock strengths"
+    )
     p.add_argument("--out", help="grid CSV (per-k suffix added for events)")
     p.add_argument("--scatter-out", dest="scatter_out")
     p.set_defaults(handler=_cmd_sweep)

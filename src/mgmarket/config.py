@@ -10,7 +10,7 @@ one parameter per line, which round-trips bit-exactly (floats are written with
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Union
 
 from .errors import CoefficientOutOfRangeError, ConfigError, EvenAgentCountError
@@ -76,9 +76,6 @@ class ModelConfig:
     @property
     def warmup_steps(self) -> int:
         return max(1, self.memory)
-
-    def with_coupling(self, coupling: Coupling) -> "ModelConfig":
-        return replace(self, coupling=coupling)
 
 
 def validate(config: ModelConfig) -> ModelConfig:
@@ -195,10 +192,12 @@ def parse_items(text: str) -> dict[str, object]:
         key, value = key.strip(), value.strip()
         if key in items:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        if key in _INT_KEYS:
-            items[key] = int(value)
-        elif key in _FLOAT_KEYS:
-            items[key] = float(value)
+        if key in _INT_KEYS or key in _FLOAT_KEYS:
+            kind, what = (int, "an integer") if key in _INT_KEYS else (float, "a number")
+            try:
+                items[key] = kind(value)
+            except ValueError:
+                raise ConfigError(f"line {lineno}: {key} must be {what}, got {value!r}") from None
         elif key == "allow_hold":
             if value.lower() not in _BOOL_WORDS:
                 raise ConfigError(f"line {lineno}: allow_hold must be true or false")

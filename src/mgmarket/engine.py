@@ -28,8 +28,8 @@ deviation of each stock's internal demand, then re-runs with shocks enabled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -139,7 +139,7 @@ def simulate_trajectory(
     scores = np.zeros((2, s_slots, n))
 
     def advance(j: int, step: int, a_int: int, a_ext: float) -> float:
-        a_total = market.combined_demand(a_int, a_ext)
+        a_total = a_int + a_ext
         try:
             price = market.update_price(prev_price[j], a_total)
         except NonPositivePriceError as exc:
@@ -297,6 +297,20 @@ def _run_task(args: tuple[ModelConfig, int]) -> RunResult:
     return run(config, run_index)
 
 
+def pool_map(fn, tasks: list, threads: int | None) -> list:
+    """``[fn(task) for task in tasks]``, spread over ``threads`` worker
+    processes when that is more than one.
+
+    Results keep the order of ``tasks``.  Each worker takes about eight
+    chunks, so short tasks do not pay one round trip each.
+    """
+    if threads is not None and threads > 1 and len(tasks) > 1:
+        chunk = max(1, len(tasks) // (threads * 8))
+        with ProcessPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(fn, tasks, chunksize=chunk))
+    return [fn(task) for task in tasks]
+
+
 def run_many(config: ModelConfig, threads: int | None = None) -> BatchResult:
     """Execute ``config.n_runs`` independent runs and average the correlation.
 
@@ -304,21 +318,7 @@ def run_many(config: ModelConfig, threads: int | None = None) -> BatchResult:
     worker count.
     """
     validate(config)
-    tasks = [(config, i) for i in range(config.n_runs)]
-    if threads is not None and threads > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_run_task, tasks))
-    else:
-        results = [_run_task(t) for t in tasks]
+    results = pool_map(_run_task, [(config, i) for i in range(config.n_runs)], threads)
     mean_rho = float(np.mean([r.correlation for r in results]))
     return BatchResult(runs=results, mean_correlation=mean_rho)
 
-
-def pooled_samples(runs: list[RunResult], stock_index: int) -> tuple[np.ndarray, np.ndarray]:
-    """Concatenate (expected, return) samples of many runs for one stock."""
-    xs, ys = [], []
-    for result in runs:
-        x, y = result.samples(stock_index)
-        xs.append(x)
-        ys.append(y)
-    return np.concatenate(xs), np.concatenate(ys)

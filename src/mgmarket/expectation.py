@@ -15,23 +15,12 @@ import numpy as np
 from .config import Coupling, HomogeneousCoupling, UniformCoupling
 
 
-def expected_return(a: float, b, r_own_lag: float, r_other_lag: float):
-    """a * own lagged return + b * other stock's lagged return.
-
-    ``b`` may be a scalar or a per-agent array; the result broadcasts.
-    """
-    return a * r_own_lag + b * r_other_lag
-
-
 @dataclass(frozen=True)
 class CouplingCoefficients:
     """Per-agent cross-stock weights, one array per stock."""
 
     b1: np.ndarray
     b2: np.ndarray
-
-    def for_stock(self, stock_index: int) -> np.ndarray:
-        return self.b1 if stock_index == 0 else self.b2
 
 
 def sample_couplings(
@@ -53,12 +42,3 @@ def sample_couplings(
         return CouplingCoefficients(b1=b1, b2=b2)
     raise TypeError(f"unsupported coupling spec {coupling!r}")
 
-
-def mean_expected_return_delta(a: float, c: float, dr_own_lag: float, dr_other_lag: float) -> float:
-    """Population-mean change of the expected return given return changes.
-
-    With per-agent weights averaging to ``c`` this is the mean-field form of
-    the per-agent expectation delta; for homogeneous weights (c = b) it equals
-    the per-agent delta exactly.
-    """
-    return a * dr_own_lag + c * dr_other_lag

@@ -51,10 +51,6 @@ def external_demand(state: EventState, rng: np.random.Generator) -> float:
     return -state.amplitude if odd_parity else state.amplitude
 
 
-def combined_demand(internal: int, external: float) -> float:
-    return internal + external
-
-
 def update_price(prev_price: float, total_demand: float) -> float:
     """Move the price by the signed square root of the total demand.
 
@@ -104,9 +100,6 @@ class MarketState:
 
     def main_returns(self, stock_index: int) -> np.ndarray:
         return self.stocks[stock_index].returns[self.warmup_steps :]
-
-    def main_prices(self, stock_index: int) -> np.ndarray:
-        return self.stocks[stock_index].prices[self.warmup_steps :]
 
     def main_total_demand(self, stock_index: int) -> np.ndarray:
         return self.stocks[stock_index].total_demand[self.warmup_steps :]

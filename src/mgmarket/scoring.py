@@ -17,50 +17,18 @@ level over the whole horizon.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
-
 import numpy as np
 
 
-def payoff(total_demand: float, decision: int) -> float:
-    """Minority payoff, linear in the demand imbalance: -demand * decision."""
-    return -total_demand * decision
-
-
-@dataclass
-class AgentScores:
-    """Cumulative scores, one per (stock, agent, slot)."""
-
-    values: np.ndarray
-
-    @classmethod
-    def zeros(cls, n_agents: int, n_strategies: int) -> "AgentScores":
-        return cls(np.zeros((2, n_agents, n_strategies)))
-
-    def for_stock(self, stock_index: int) -> np.ndarray:
-        return self.values[stock_index]
-
-
 def update_scores(scores: np.ndarray, slot_decisions: np.ndarray, total_demand: float) -> None:
-    """Add one step's payoff for every slot of one stock, in place.
+    """Add one step's payoff, ``-total_demand * decision``, for every slot of
+    one stock, in place.
 
     ``slot_decisions`` is (agents, slots): each slot's hypothetical decision
     at the current state.  The played slot gets no special treatment.
     """
     if total_demand:
         scores -= float(total_demand) * slot_decisions
-
-
-def update_all_scores(
-    scores: AgentScores,
-    slot_decisions: Sequence[np.ndarray],
-    demands: Sequence[float],
-) -> AgentScores:
-    """Apply one step's payoffs for both stocks."""
-    for j in (0, 1):
-        update_scores(scores.values[j], slot_decisions[j], demands[j])
-    return scores
 
 
 def select_slots(scores: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -101,8 +69,3 @@ def select_slots(scores: np.ndarray, rng: np.random.Generator) -> np.ndarray:
             best_key = np.where(take, key, best_key)
     return slot
 
-
-def select_strategy(scores_row: Sequence[float], rng: np.random.Generator) -> int:
-    """Single-agent form of :func:`select_slots`."""
-    row = np.asarray(scores_row, dtype=float)
-    return int(select_slots(row[None, :], rng)[0])

@@ -20,9 +20,8 @@ from __future__ import annotations
 
 import csv
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -103,11 +102,6 @@ class SweepGrid:
     def n_runs(self) -> int:
         return self.rho_runs.shape[2]
 
-    def cell_mean(self, v1: float, v2: float) -> float:
-        i1 = int(np.argmin(np.abs(self.axes[0].values - v1)))
-        i2 = int(np.argmin(np.abs(self.axes[1].values - v2)))
-        return float(self.mean_rho[i1, i2])
-
 
 def _cell_task(args) -> tuple[float, Optional[RunSamples]]:
     config, run_index, want_samples = args
@@ -118,30 +112,38 @@ def _cell_task(args) -> tuple[float, Optional[RunSamples]]:
     return result.correlation, samples
 
 
-def _run_grid(
-    cells: list[list[ModelConfig]],
-    axes: tuple[Axis, Axis],
-    template: ModelConfig,
+def _axes(names: tuple[str, str], values: tuple, default) -> tuple[Axis, ...]:
+    """The two axes of a sweep; ``default()`` stands in for values of None."""
+    return tuple(
+        Axis(name, np.asarray(default() if v is None else v, dtype=float))
+        for name, v in zip(names, values)
+    )
+
+
+def _sweep(
+    base: ModelConfig,
+    axes: tuple[Axis, ...],
+    coupling_of: Callable[[float, float], Coupling],
     threads: Optional[int],
     collect_samples: bool,
-    event_strength: Optional[float] = None,
 ) -> SweepGrid:
+    """Run ``base.n_runs`` runs at every cell of the ``axes`` plane.
+
+    The cell at (v1, v2) is ``base`` with coupling ``coupling_of(v1, v2)``
+    and the master seed :func:`cell_seed` folds from that coupling.
+    """
     started = time.strftime("%Y-%m-%dT%H:%M:%S")
     t0 = time.monotonic()
-    n1, n2 = len(cells), len(cells[0])
-    n_runs = template.n_runs
-    tasks = [
-        (cells[i1][i2], run, collect_samples)
-        for i1 in range(n1)
-        for i2 in range(n2)
-        for run in range(n_runs)
-    ]
-    if threads is not None and threads > 1 and len(tasks) > 1:
-        chunk = max(1, len(tasks) // (threads * 8))
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(_cell_task, tasks, chunksize=chunk))
-    else:
-        outcomes = [_cell_task(t) for t in tasks]
+    n1, n2 = len(axes[0].values), len(axes[1].values)
+    n_runs = base.n_runs
+    tasks = []
+    for v1 in axes[0].values:
+        for v2 in axes[1].values:
+            coupling = coupling_of(float(v1), float(v2))
+            seed = cell_seed(base.master_seed, coupling)
+            cell = replace(base, coupling=coupling, master_seed=seed)
+            tasks += [(cell, run, collect_samples) for run in range(n_runs)]
+    outcomes = engine.pool_map(_cell_task, tasks, threads)
 
     rho = np.empty((n1, n2, n_runs))
     samples: Optional[list[list[list[RunSamples]]]] = None
@@ -156,31 +158,12 @@ def _run_grid(
     return SweepGrid(
         axes=axes,
         rho_runs=rho,
-        template=template,
+        template=base,
         started_at=started,
         elapsed_seconds=time.monotonic() - t0,
-        event_strength=event_strength,
+        event_strength=None if base.events is None else base.events.strength,
         samples=samples,
     )
-
-
-def _homogeneous_cells(
-    base: ModelConfig, b1_values: np.ndarray, b2_values: np.ndarray
-) -> list[list[ModelConfig]]:
-    cells = []
-    for b1 in b1_values:
-        row = []
-        for b2 in b2_values:
-            coupling = HomogeneousCoupling(float(b1), float(b2))
-            row.append(
-                replace(
-                    base,
-                    coupling=coupling,
-                    master_seed=cell_seed(base.master_seed, coupling),
-                )
-            )
-        cells.append(row)
-    return cells
 
 
 def sweep_homogeneous(
@@ -192,13 +175,9 @@ def sweep_homogeneous(
 ) -> SweepGrid:
     """Mean correlation over a (b1, b2) grid with shared coupling weights."""
     validate(base_config)
-    b1v = np.asarray(b1_values if b1_values is not None else default_homogeneous_axis(), dtype=float)
-    b2v = np.asarray(b2_values if b2_values is not None else default_homogeneous_axis(), dtype=float)
+    axes = _axes(("b1", "b2"), (b1_values, b2_values), default_homogeneous_axis)
     base = replace(base_config, events=None)
-    cells = _homogeneous_cells(base, b1v, b2v)
-    return _run_grid(
-        cells, (Axis("b1", b1v), Axis("b2", b2v)), base, threads, collect_samples
-    )
+    return _sweep(base, axes, HomogeneousCoupling, threads, collect_samples)
 
 
 def sweep_centers(
@@ -212,20 +191,12 @@ def sweep_centers(
     validate(base_config)
     if not isinstance(base_config.coupling, UniformCoupling):
         raise ValueError("centers sweep requires a uniform coupling template")
-    c1v = np.asarray(c1_values if c1_values is not None else default_centers_axis(), dtype=float)
-    c2v = np.asarray(c2_values if c2_values is not None else default_centers_axis(), dtype=float)
+    axes = _axes(("c1", "c2"), (c1_values, c2_values), default_centers_axis)
     base = replace(base_config, events=None)
     d1, d2 = base.coupling.delta1, base.coupling.delta2
-    cells = []
-    for c1 in c1v:
-        row = []
-        for c2 in c2v:
-            coupling = UniformCoupling(float(c1), d1, float(c2), d2)
-            row.append(
-                replace(base, coupling=coupling, master_seed=cell_seed(base.master_seed, coupling))
-            )
-        cells.append(row)
-    return _run_grid(cells, (Axis("c1", c1v), Axis("c2", c2v)), base, threads, collect_samples)
+    return _sweep(
+        base, axes, lambda c1, c2: UniformCoupling(c1, d1, c2, d2), threads, collect_samples
+    )
 
 
 def sweep_ranges(
@@ -239,20 +210,12 @@ def sweep_ranges(
     validate(base_config)
     if not isinstance(base_config.coupling, UniformCoupling):
         raise ValueError("ranges sweep requires a uniform coupling template")
-    d1v = np.asarray(delta1_values if delta1_values is not None else default_ranges_axis(), dtype=float)
-    d2v = np.asarray(delta2_values if delta2_values is not None else default_ranges_axis(), dtype=float)
+    axes = _axes(("delta1", "delta2"), (delta1_values, delta2_values), default_ranges_axis)
     base = replace(base_config, events=None)
     c1, c2 = base.coupling.c1, base.coupling.c2
-    cells = []
-    for d1 in d1v:
-        row = []
-        for d2 in d2v:
-            coupling = UniformCoupling(c1, float(d1), c2, float(d2))
-            row.append(
-                replace(base, coupling=coupling, master_seed=cell_seed(base.master_seed, coupling))
-            )
-        cells.append(row)
-    return _run_grid(cells, (Axis("delta1", d1v), Axis("delta2", d2v)), base, threads, collect_samples)
+    return _sweep(
+        base, axes, lambda d1, d2: UniformCoupling(c1, d1, c2, d2), threads, collect_samples
+    )
 
 
 def sweep_events(
@@ -270,8 +233,7 @@ def sweep_events(
     the k=0 baseline.
     """
     validate(base_config)
-    b1v = np.asarray(b1_values if b1_values is not None else default_homogeneous_axis(), dtype=float)
-    b2v = np.asarray(b2_values if b2_values is not None else default_homogeneous_axis(), dtype=float)
+    axes = _axes(("b1", "b2"), (b1_values, b2_values), default_homogeneous_axis)
     if probability is None:
         probability = (
             base_config.events.probability
@@ -282,17 +244,7 @@ def sweep_events(
     for k in k_values:
         events = EventModel(probability=float(probability), strength=float(k))
         base = replace(base_config, events=events)
-        cells = _homogeneous_cells(base, b1v, b2v)
-        grids.append(
-            _run_grid(
-                cells,
-                (Axis("b1", b1v), Axis("b2", b2v)),
-                base,
-                threads,
-                collect_samples,
-                event_strength=float(k),
-            )
-        )
+        grids.append(_sweep(base, axes, HomogeneousCoupling, threads, collect_samples))
     return grids
 
 

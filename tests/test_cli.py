@@ -71,6 +71,14 @@ def test_unknown_config_key_is_usage_error(tmp_path):
     assert "unknown key" in outcome.message
 
 
+def test_malformed_config_value_is_usage_error(tmp_path):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("n_agents = 1.5\n")
+    outcome = run_cli("simulate", "--config", str(cfg))
+    assert outcome.exit_code == 1
+    assert outcome.message.startswith("config.validate: line 1")
+
+
 def test_invalid_flag_is_usage_error():
     assert run_cli("simulate", "--not-a-flag").exit_code == 1
     assert run_cli("bogus-verb").exit_code == 1
@@ -121,6 +129,33 @@ def test_sweep_events_writes_one_grid_per_k(tmp_path):
     assert (tmp_path / "grid_k2.csv").exists()
 
 
+def test_sweep_bad_k_values_is_usage_error():
+    outcome = run_cli("sweep", "--experiment", "events", *SMALL, "--k-values", "1,x")
+    assert outcome.exit_code == 1
+    assert "--k-values" in outcome.message
+
+
+@pytest.mark.parametrize(
+    "experiment,axis,values",
+    [("centers", "c1", {-0.5, 0.5}), ("ranges", "delta1", {1.0, 2.0})],
+)
+def test_sweep_uniform_experiments(tmp_path, experiment, axis, values):
+    other = "c2" if experiment == "centers" else "delta2"
+    lo, hi = sorted(values)
+    out = tmp_path / "grid.csv"
+    outcome = run_cli(
+        "sweep", "--experiment", experiment, *SMALL,
+        f"--{axis}-min", str(lo), f"--{axis}-max", str(hi), f"--{axis}-step", str(hi - lo),
+        f"--{other}-min", "1", f"--{other}-max", "1", f"--{other}-step", "1",
+        "--out", str(out),
+    )
+    assert outcome.exit_code == 0
+    rows = list(csv.reader(out.open()))
+    assert len(rows) == 1 + 2
+    assert {float(r[0]) for r in rows[1:]} == values
+    assert {float(r[1]) for r in rows[1:]} == {1.0}
+
+
 def test_sweep_holding_experiment(tmp_path):
     out = tmp_path / "grid.csv"
     outcome = run_cli(
@@ -161,6 +196,20 @@ def test_ar1_verb(tmp_path):
     assert rows[0] == ["stock", "phi", "n"]
     assert len(rows) == 3
     assert int(rows[1][2]) == 49
+
+
+@pytest.mark.parametrize(
+    "verb,header", [("regress", "stock,beta1,p_value,r_squared,n"), ("ar1", "stock,phi,n")]
+)
+def test_report_without_out_goes_to_stdout(tmp_path, capsys, verb, header):
+    traj = tmp_path / "traj.csv"
+    run_cli("simulate", *SMALL, "--b1", "0.5", "--b2", "0.5", "--out", str(traj))
+    capsys.readouterr()
+    assert run_cli(verb, str(traj)).exit_code == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == header
+    assert [line.split(",")[0] for line in lines[1:]] == ["1", "2"]
+    assert list(tmp_path.iterdir()) == [traj]
 
 
 def test_regress_missing_file_is_runtime_error(tmp_path):

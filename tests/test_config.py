@@ -102,6 +102,19 @@ def test_duplicate_key_rejected():
         parse_items("memory = 1\nmemory = 2\n")
 
 
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("n_agents = 1.5\n", "line 1: n_agents must be an integer, got '1.5'"),
+        ("memory = 1\nb1 = abc\n", "line 2: b1 must be a number, got 'abc'"),
+    ],
+)
+def test_malformed_value_is_config_error(text, message):
+    with pytest.raises(ConfigError) as err:
+        parse_items(text)
+    assert str(err.value) == message
+
+
 def test_comments_and_blank_lines_ignored():
     items = parse_items("# header\n\nn_agents = 11  # inline\n")
     assert items == {"n_agents": 11}

@@ -77,22 +77,31 @@ def test_score_replay_oracle(events):
         assert np.array_equal(recomputed, trace.final_scores[j])
 
 
-def test_trace_states_match_series_recomputation():
-    cfg = small_config(n_agents=15, horizon=60, coupling=HomogeneousCoupling(0.3, -0.7))
+@pytest.mark.parametrize(
+    "overrides", [dict(), dict(memory=2, allow_hold=True)], ids=["m1", "m2_hold"]
+)
+def test_trace_states_match_series_recomputation(overrides):
+    cfg = small_config(n_agents=15, horizon=60, coupling=HomogeneousCoupling(0.3, -0.7), **overrides)
     result, trace = run_traced(cfg, 1)
-    w = result.market.warmup_steps
+    w, m = result.market.warmup_steps, cfg.memory
+    zero_returns = zero_expectations = 0
     for j in (0, 1):
         returns = result.market.stocks[j].returns
         other = result.market.stocks[1 - j].returns
         b = 0.3 if j == 0 else -0.7
         for t in range(cfg.horizon):
-            lag_own = returns[w + t - 1]
-            lag_other = other[w + t - 1]
-            h_bit = 1 if lag_own >= 0 else 0
-            expected = cfg.a[j] * lag_own + b * lag_other
-            e_bit = 1 if expected >= 0 else 0
-            idx = h_bit * 2 + e_bit
-            assert trace.state_indices[j, t, 0] == idx
+            # oldest lagged return in the highest bit, the expectation in the
+            # lowest; a zero return or expectation counts as plus
+            idx = 0
+            for lag in range(m, 0, -1):
+                idx = (idx << 1) | (1 if returns[w + t - lag] >= 0 else 0)
+                zero_returns += returns[w + t - lag] == 0
+            expected = cfg.a[j] * returns[w + t - 1] + b * other[w + t - 1]
+            idx = (idx << 1) | (1 if expected >= 0 else 0)
+            zero_expectations += expected == 0
+            assert np.all(trace.state_indices[j, t] == idx)
+    if cfg.allow_hold:  # the zero-counts-as-plus rule was exercised
+        assert zero_returns > 0 and zero_expectations > 0
 
 
 def test_decoupled_matches_single_asset_reference():

@@ -1,36 +1,42 @@
 import numpy as np
-import pytest
-from hypothesis import given, strategies as st
 
-from mgmarket import HomogeneousCoupling, UniformCoupling
-from mgmarket.expectation import (
-    expected_return,
-    mean_expected_return_delta,
-    sample_couplings,
-)
+from mgmarket import HomogeneousCoupling, UniformCoupling, run, run_traced
+from mgmarket.engine import build_components
+from mgmarket.expectation import sample_couplings
 
-finite = st.floats(-100, 100, allow_nan=False)
-
+from conftest import small_config
 
 def test_expected_return_arithmetic():
-    assert expected_return(1.0, 0.5, 0.02, -0.01) == pytest.approx(0.015)
-    assert expected_return(0.1, -1.0, 0.0, 0.03) == pytest.approx(-0.03)
+    # the recorded mean expectation is a * own return + mean(b) * other return
+    cfg = small_config(a=(1.0, 0.6), coupling=HomogeneousCoupling(0.5, -0.3))
+    market = run(cfg, 0).market
+    b = (0.5, -0.3)
+    for j in (0, 1):
+        own, other = market.main_returns(j), market.main_returns(1 - j)
+        expected = cfg.a[j] * own + b[j] * other
+        assert np.allclose(market.stocks[j].mean_expectation, expected, rtol=1e-12, atol=0.0)
 
 
 def test_zero_coupling_decouples():
-    assert expected_return(0.7, 0.0, 0.02, 12345.0) == pytest.approx(0.7 * 0.02)
-
-
-@given(a=finite, b=finite, x=finite, y=finite, lam=st.floats(-10, 10, allow_nan=False))
-def test_expected_return_is_linear(a, b, x, y, lam):
-    scaled = expected_return(a, b, lam * x, lam * y)
-    assert scaled == pytest.approx(lam * expected_return(a, b, x, y), abs=1e-9)
+    cfg = small_config(a=(0.7, 1.0), coupling=HomogeneousCoupling(0.0, 0.0))
+    market = run(cfg, 0).market
+    for j in (0, 1):
+        assert market.stocks[j].mean_expectation.tolist() == (cfg.a[j] * market.main_returns(j)).tolist()
 
 
 def test_expected_return_broadcasts_over_agents():
-    b = np.array([0.0, 0.5, -1.0])
-    out = expected_return(1.0, b, 0.02, 0.01)
-    assert np.allclose(out, [0.02, 0.025, 0.01])
+    # with per-agent couplings each agent's expectation bit (the low bit of
+    # its state index) is the sign of a * own lag + its own b * other lag
+    cfg = small_config(n_agents=25, horizon=40, coupling=UniformCoupling(0.0, 1.0, 0.2, 0.8))
+    result, trace = run_traced(cfg, 0)
+    couplings = build_components(cfg, 0).couplings
+    assert len(np.unique(couplings.b1)) == cfg.n_agents
+    market, w = result.market, result.market.warmup_steps
+    for j, b in ((0, couplings.b1), (1, couplings.b2)):
+        own, other = market.stocks[j].returns, market.stocks[1 - j].returns
+        for t in range(cfg.horizon):
+            expected = b * other[w + t - 1] + cfg.a[j] * own[w + t - 1]
+            assert np.array_equal(trace.state_indices[j, t] & 1, expected >= 0)
 
 
 def test_homogeneous_coupling_constant(rng):
@@ -60,21 +66,3 @@ def test_uniform_stocks_sampled_independently(rng):
     corr = np.corrcoef(coup.b1, coup.b2)[0, 1]
     assert abs(corr) < 0.02
 
-
-def test_mean_delta_decoupled():
-    assert mean_expected_return_delta(1.0, 0.0, 0.07, -3.0) == pytest.approx(0.07)
-
-
-def test_mean_delta_cancellation():
-    assert mean_expected_return_delta(1.0, 1.0, 0.1, -0.1) == pytest.approx(0.0)
-
-
-def test_mean_delta_arithmetic():
-    assert mean_expected_return_delta(1.0, 0.5, 0.02, 0.02) == pytest.approx(0.03)
-
-
-def test_mean_delta_matches_homogeneous_per_agent_delta():
-    a, b = 0.8, -0.6
-    dr_own, dr_other = 0.013, -0.021
-    per_agent = a * dr_own + b * dr_other
-    assert mean_expected_return_delta(a, b, dr_own, dr_other) == pytest.approx(per_agent)

@@ -8,7 +8,6 @@ import pytest
 from mgmarket import NonPositivePriceError
 from mgmarket.market import (
     EventState,
-    combined_demand,
     excess_demand,
     external_demand,
     log_return,
@@ -54,12 +53,6 @@ def test_log_return_examples():
     assert log_return(2000.0, 2000.0) == 0.0
     assert log_return(1998.0, 2000.0) == pytest.approx(-0.0010005, abs=1e-7)
     assert log_return(2003.0, 2000.0) == math.log(2003.0) - math.log(2000.0)
-
-
-def test_combined_demand():
-    assert combined_demand(5, 0.0) == 5.0
-    assert combined_demand(5, -20.0) == -15.0
-    assert combined_demand(-3, 3.0) == 0.0
 
 
 def test_external_demand_never_fires_at_p0(rng):

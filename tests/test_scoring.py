@@ -3,16 +3,16 @@ import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from mgmarket.scoring import (
-    AgentScores,
-    payoff,
-    select_slots,
-    select_strategy,
-    update_all_scores,
-    update_scores,
-)
+from mgmarket.scoring import select_slots, update_scores
 
 from reference_engine import select_slots_argmax
+
+
+def payoff(total_demand, decision):
+    """Score change of one slot that made ``decision`` at ``total_demand``."""
+    scores = np.zeros((1, 1))
+    update_scores(scores, np.array([[decision]]), total_demand)
+    return scores[0, 0]
 
 
 def test_payoff_majority_penalized():
@@ -36,7 +36,9 @@ def test_played_sum_is_negative():
     # minority structure: total payoff of the played decisions is -A^2 < 0
     decisions = np.array([1] * 7 + [-1] * 4)
     total = int(decisions.sum())
-    assert sum(payoff(total, d) for d in decisions) == -total * total < 0
+    scores = np.zeros((len(decisions), 1))
+    update_scores(scores, decisions[:, None], total)
+    assert scores.sum() == -total * total < 0
 
 
 def test_update_scores_identical_slots():
@@ -46,9 +48,9 @@ def test_update_scores_identical_slots():
 
 
 def test_update_scores_opposing_slots():
-    scores = np.zeros((1, 2))
-    update_scores(scores, np.array([[1, -1]]), 5)
-    assert scores.tolist() == [[-5.0, 5.0]]
+    scores = np.zeros((1, 3))
+    update_scores(scores, np.array([[1, -1, 0]]), 5)
+    assert scores.tolist() == [[-5.0, 5.0, 0.0]]
 
 
 def test_update_scores_telescopes():
@@ -58,26 +60,17 @@ def test_update_scores_telescopes():
     assert scores.tolist() == [[-200.0, 200.0]]
 
 
-def test_update_all_scores_covers_both_stocks():
-    scores = AgentScores.zeros(2, 2)
-    slot_decisions = (np.array([[1, -1], [1, 1]]), np.array([[-1, -1], [0, 1]]))
-    update_all_scores(scores, slot_decisions, (3, -2))
-    assert scores.values[0].tolist() == [[-3.0, 3.0], [-3.0, -3.0]]
-    assert scores.values[1].tolist() == [[-2.0, -2.0], [0.0, 2.0]]
-
-
 def test_select_strategy_strict_maximum(rng):
-    assert select_strategy([3.0, 1.0], rng) == 0
-    assert select_strategy([1.0, 3.0], rng) == 1
+    assert select_slots(np.array([[3.0, 1.0], [1.0, 3.0]]), rng).tolist() == [0, 1]
 
 
 def test_select_strategy_tie_frequencies(rng):
-    picks = np.array([select_strategy([2.0, 2.0], rng) for _ in range(10_000)])
+    picks = select_slots(np.full((10_000, 2), 2.0), rng)
     assert abs(picks.mean() - 0.5) < 0.02
 
 
 def test_select_strategy_all_zero_is_uniform(rng):
-    picks = np.array([select_strategy([0.0, 0.0, 0.0], rng) for _ in range(9000)])
+    picks = select_slots(np.zeros((9000, 3)), rng)
     for slot in (0, 1, 2):
         assert abs(np.mean(picks == slot) - 1 / 3) < 0.02
 

@@ -63,9 +63,17 @@ def test_centers_and_ranges_share_identical_cell():
     assert centers.rho_runs[0, 0].tolist() == ranges.rho_runs[0, 0].tolist()
 
 
-def test_centers_requires_uniform_template():
+@pytest.mark.parametrize(
+    "sweep_fn,axes",
+    [
+        (sweep_centers, dict(c1_values=[0.0], c2_values=[0.0])),
+        (sweep_ranges, dict(delta1_values=[1.0], delta2_values=[1.0])),
+    ],
+    ids=["centers", "ranges"],
+)
+def test_centers_requires_uniform_template(sweep_fn, axes):
     with pytest.raises(ValueError):
-        sweep_centers(tiny(), c1_values=[0.0], c2_values=[0.0])
+        sweep_fn(tiny(), **axes)
 
 
 def test_events_p_zero_matches_baseline_grid():
