@@ -16,7 +16,6 @@ from .config import (
     UniformCoupling,
     config_digest,
     from_text,
-    read_config,
     to_text,
     validate,
 )
@@ -71,7 +70,6 @@ __all__ = [
     "ols",
     "pearson",
     "predict_correlation_sign",
-    "read_config",
     "run",
     "run_many",
     "run_traced",

@@ -33,14 +33,6 @@ QUADRANTS: tuple[Quadrant, ...] = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 REGIME_SIGNS = {"I": (1, 1), "II": (-1, -1), "III": (1, -1), "IV": (-1, 1)}
 
 
-def regime_box(regime: str) -> tuple[tuple[float, float], tuple[float, float]]:
-    s1, s2 = REGIME_SIGNS[regime]
-    return (
-        (0.0, 1.0) if s1 > 0 else (-1.0, 0.0),
-        (0.0, 1.0) if s2 > 0 else (-1.0, 0.0),
-    )
-
-
 def quadrant_str(q: Quadrant) -> str:
     return "(" + ",".join("+" if c > 0 else "-" for c in q) + ")"
 
@@ -103,15 +95,6 @@ class FeasibilityVerdict:
     probability_trend: Optional[Trend] = None
 
 
-def _infeasible() -> FeasibilityVerdict:
-    return FeasibilityVerdict(feasible=False)
-
-
-def _always() -> FeasibilityVerdict:
-    # Output reached with probability one; no constraint, no trend.
-    return FeasibilityVerdict(feasible=True)
-
-
 def _bounded(variable: str, lower: Optional[str], upper: Optional[str],
              parameter: str, limit: float, direction: str) -> FeasibilityVerdict:
     return FeasibilityVerdict(
@@ -122,16 +105,17 @@ def _bounded(variable: str, lower: Optional[str], upper: Optional[str],
 
 
 def _case_block(entries: dict[Quadrant, FeasibilityVerdict]) -> dict[Quadrant, FeasibilityVerdict]:
-    block = {q: _infeasible() for q in QUADRANTS}
+    block = {q: FeasibilityVerdict(feasible=False) for q in QUADRANTS}
     block.update(entries)
     return block
 
 
 # The full verdict table, keyed by (regime, input quadrant) -> output quadrant.
+# A feasible verdict with no condition and no trend is reached with probability one.
 CASE_TABLE: dict[tuple[str, Quadrant], dict[Quadrant, FeasibilityVerdict]] = {
     # --- regime I: both couplings positive --------------------------------
-    ("I", (1, 1)): _case_block({(1, 1): _always()}),
-    ("I", (-1, -1)): _case_block({(-1, -1): _always()}),
+    ("I", (1, 1)): _case_block({(1, 1): FeasibilityVerdict(feasible=True)}),
+    ("I", (-1, -1)): _case_block({(-1, -1): FeasibilityVerdict(feasible=True)}),
     ("I", (1, -1)): _case_block({
         (1, 1): _bounded("dr1", "-dr2/b2", None, "b2", 1.0, "increasing"),
         (1, -1): _bounded("dr1", "-b1*dr2", "-dr2/b2", "both", 1.0, "decreasing"),
@@ -153,8 +137,8 @@ CASE_TABLE: dict[tuple[str, Quadrant], dict[Quadrant, FeasibilityVerdict]] = {
         (-1, 1): _bounded("dr1", None, "-dr2/b2", "b2", -1.0, "increasing"),
         (1, -1): _bounded("dr1", "-b1*dr2", None, "b1", -1.0, "increasing"),
     }),
-    ("II", (1, -1)): _case_block({(1, -1): _always()}),
-    ("II", (-1, 1)): _case_block({(-1, 1): _always()}),
+    ("II", (1, -1)): _case_block({(1, -1): FeasibilityVerdict(feasible=True)}),
+    ("II", (-1, 1)): _case_block({(-1, 1): FeasibilityVerdict(feasible=True)}),
     # --- regime III: b1 positive, b2 negative ------------------------------
     ("III", (1, 1)): _case_block({
         (1, 1): _bounded("dr2", "-b2*dr1", None, "b2", -1.0, "decreasing"),
@@ -203,22 +187,13 @@ def classify(
     regime: str,
     input_quadrant: Quadrant,
     output_quadrant: Quadrant,
-    a: tuple[float, float] = (1.0, 1.0),
 ) -> FeasibilityVerdict:
     """Verdict for one (regime, input, output) sign case."""
-    if tuple(a) != (1.0, 1.0):
-        raise ValueError(f"sign-case analysis only covers a=(1,1), got {a}")
     if regime not in REGIME_SIGNS:
         raise ValueError(f"unknown regime {regime!r}")
     if input_quadrant not in QUADRANTS or output_quadrant not in QUADRANTS:
         raise ValueError("quadrants must be pairs of +1/-1")
     return CASE_TABLE[(regime, input_quadrant)][output_quadrant]
-
-
-def _check_regime_b(regime: str, b: tuple[float, float]) -> None:
-    (lo1, hi1), (lo2, hi2) = regime_box(regime)
-    if not (lo1 < b[0] < hi1 and lo2 < b[1] < hi2):
-        raise ValueError(f"b={b} outside open box of regime {regime}")
 
 
 def _sample_deltas(
@@ -255,7 +230,9 @@ def brute_force_feasibility(
 ) -> dict[Quadrant, float]:
     """Empirical output-quadrant frequencies; a quadrant is feasible iff its
     frequency is non-zero."""
-    _check_regime_b(regime, b)
+    s1, s2 = REGIME_SIGNS[regime]
+    if not (0 < s1 * b[0] < 1 and 0 < s2 * b[1] < 1):
+        raise ValueError(f"b={b} outside open box of regime {regime}")
     _, _, du, dv = _sample_deltas(b, input_quadrant, n_samples, rng)
     masks = _quadrant_masks(du, dv)
     return {q: float(np.count_nonzero(m)) / n_samples for q, m in masks.items()}
@@ -396,10 +373,7 @@ def verify_appendix(n_samples: int = 1_000_000, master_seed: int = 0) -> Appendi
                     for b in _trend_points(regime, trend):
                         seed = fold_seed(master_seed, f"trend:{regime}:{input_q}:{q}", b)
                         rng = np.random.default_rng(seed)
-                        _, _, du, dv = _sample_deltas(b, input_q, n_samples, rng)
-                        freqs.append(
-                            float(np.count_nonzero(_quadrant_masks(du, dv)[q])) / n_samples
-                        )
+                        freqs.append(brute_force_feasibility(regime, b, input_q, n_samples, rng)[q])
                     diffs = np.diff(freqs)
                     trend_ok = bool(
                         np.all(diffs > 0) if trend.direction == "increasing" else np.all(diffs < 0)

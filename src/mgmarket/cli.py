@@ -25,6 +25,10 @@ import numpy as np
 
 from . import analytic, engine, market, stats, sweep
 from .config import (
+    _FLOAT_KEYS,
+    _HOMOGENEOUS_KEYS,
+    _INT_KEYS,
+    _UNIFORM_KEYS,
     ModelConfig,
     UniformCoupling,
     config_digest,
@@ -35,9 +39,7 @@ from .config import (
 from .errors import ConfigError, DegenerateSeriesError, NonPositivePriceError
 
 CONFIG_ENV_VAR = "MGMARKET_CONFIG"
-
-_HOMOGENEOUS_FLAGS = ("b1", "b2")
-_UNIFORM_FLAGS = ("c1", "delta1", "c2", "delta2")
+_OVERRIDE_KEYS = _INT_KEYS | _FLOAT_KEYS | {"allow_hold"}
 
 
 @dataclass(frozen=True)
@@ -121,28 +123,21 @@ def _resolve_config(args) -> tuple[ModelConfig, dict]:
         with open(path, encoding="utf-8") as fh:
             items = parse_items(fh.read())
 
-    overrides: dict[str, object] = {}
-    for key in (
-        "n_agents", "memory", "n_strategies", "horizon", "initial_price",
-        "a1", "a2", "b1", "b2", "c1", "delta1", "c2", "delta2",
-        "allow_hold", "event_probability", "event_strength", "n_runs", "master_seed",
-    ):
-        value = getattr(args, key, None)
-        if value is not None:
-            overrides[key] = value
+    # in flag order, which is the key order of the summary's overrides
+    overrides = {
+        key: value
+        for key, value in vars(args).items()
+        if key in _OVERRIDE_KEYS and value is not None
+    }
 
-    hom_given = any(k in overrides for k in _HOMOGENEOUS_FLAGS)
-    uni_given = any(k in overrides for k in _UNIFORM_FLAGS)
+    hom_given = not _HOMOGENEOUS_KEYS.isdisjoint(overrides)
+    uni_given = not _UNIFORM_KEYS.isdisjoint(overrides)
     if hom_given and uni_given:
         raise ConfigError("cannot mix --b1/--b2 with --c1/--delta1/--c2/--delta2")
-    if hom_given:
-        for key in ("coupling", *_UNIFORM_FLAGS):
+    if hom_given or uni_given:
+        for key in _UNIFORM_KEYS if hom_given else _HOMOGENEOUS_KEYS:
             items.pop(key, None)
-        items["coupling"] = "homogeneous"
-    elif uni_given:
-        for key in ("coupling", *_HOMOGENEOUS_FLAGS):
-            items.pop(key, None)
-        items["coupling"] = "uniform"
+        items["coupling"] = "homogeneous" if hom_given else "uniform"
 
     if getattr(args, "no_events", False):
         items.pop("event_probability", None)
@@ -181,15 +176,9 @@ def _cmd_simulate(args) -> CommandOutcome:
         with _atomic_open(args.out) as fh:
             market.write_trajectory(batch.runs[0].market, fh)
     if args.scatter_out:
-        rows = (
-            (stock + 1, result.run_index, t + 1, float(x[t]), float(y[t]))
-            for result in batch.runs
-            for stock in (0, 1)
-            for x, y in [result.samples(stock)]
-            for t in range(len(x))
-        )
+        runs = ((r.run_index, (r.samples(0), r.samples(1))) for r in batch.runs)
         with _atomic_open(args.scatter_out) as fh:
-            sweep.write_scatter(rows, fh)
+            sweep.write_scatter(runs, fh)
     if args.summary:
         _write_summary(args.summary, config, overrides, batch)
     print(f"simulate: {config.n_runs} runs, mean correlation {batch.mean_correlation:+.4f}")
@@ -258,7 +247,7 @@ def _cmd_sweep(args) -> CommandOutcome:
                 sweep.write_grid(grid, fh)
         if scatter_out:
             with _atomic_open(scatter_out) as fh:
-                sweep.write_scatter(sweep.iter_scatter_rows(grid), fh)
+                sweep.write_scatter(sweep.grid_runs(grid), fh)
         label = "" if grid.event_strength is None else f" (k={grid.event_strength:g})"
         n1, n2 = (len(a.values) for a in grid.axes)
         print(
@@ -295,33 +284,31 @@ def _load_samples(paths) -> dict[int, list[tuple[np.ndarray, np.ndarray]]]:
     return per_stock
 
 
-def _cmd_regress(args) -> CommandOutcome:
+def _stock_report(args, header: list[str], row_of) -> CommandOutcome:
+    """Write ``row_of(stock, pairs)`` for each stock with samples in the inputs."""
     per_stock = _load_samples(args.inputs)
-    rows = []
-    for stock in (1, 2):
-        if not per_stock[stock]:
-            continue
-        x = np.concatenate([p[0] for p in per_stock[stock]])
-        y = np.concatenate([p[1] for p in per_stock[stock]])
-        report = stats.ols(x, y)
-        rows.append(
-            [stock, repr(report.beta1), repr(report.p_value), repr(report.r_squared), report.n]
-        )
-    _write_report(args.out, ["stock", "beta1", "p_value", "r_squared", "n"], rows)
+    rows = [row_of(stock, pairs) for stock, pairs in per_stock.items() if pairs]
+    if not rows:
+        raise DegenerateSeriesError(f"no samples in {', '.join(args.inputs)}")
+    _write_report(args.out, header, rows)
     return CommandOutcome(0)
+
+
+def _cmd_regress(args) -> CommandOutcome:
+    def row(stock, pairs):
+        x, y = (np.concatenate(series) for series in zip(*pairs))
+        report = stats.ols(x, y)
+        return [stock, repr(report.beta1), repr(report.p_value), repr(report.r_squared), report.n]
+
+    return _stock_report(args, ["stock", "beta1", "p_value", "r_squared", "n"], row)
 
 
 def _cmd_ar1(args) -> CommandOutcome:
-    per_stock = _load_samples(args.inputs)
-    rows = []
-    for stock in (1, 2):
-        if not per_stock[stock]:
-            continue
-        series_list = [y for _x, y in per_stock[stock]]
-        report = stats.ar1_pooled(series_list)
-        rows.append([stock, repr(report.phi), report.n])
-    _write_report(args.out, ["stock", "phi", "n"], rows)
-    return CommandOutcome(0)
+    def row(stock, pairs):
+        report = stats.ar1_pooled([y for _x, y in pairs])
+        return [stock, repr(report.phi), report.n]
+
+    return _stock_report(args, ["stock", "phi", "n"], row)
 
 
 def _cmd_verify_appendix(args) -> CommandOutcome:
@@ -330,26 +317,20 @@ def _cmd_verify_appendix(args) -> CommandOutcome:
     def fmt(flag) -> str:
         return "-" if flag is None else ("ok" if flag else "FAIL")
 
+    header = ["regime", "input", "output", "feasibility", "condition", "trend"]
+    rows = [
+        [check.regime, analytic.quadrant_str(check.input_quadrant),
+         analytic.quadrant_str(check.output_quadrant),
+         fmt(check.feasibility_ok), fmt(check.condition_ok), fmt(check.trend_ok)]
+        for check in report.checks
+    ]
+    line = "{:6} {:8} {:8} {:11} {:9} {:5}".format
     print("sampling model: return changes uniform over the signed unit box per quadrant")
-    print(f"{'regime':6} {'input':8} {'output':8} {'feasibility':11} {'condition':9} {'trend':5}")
-    for check in report.checks:
-        print(
-            f"{check.regime:6} {analytic.quadrant_str(check.input_quadrant):8} "
-            f"{analytic.quadrant_str(check.output_quadrant):8} "
-            f"{fmt(check.feasibility_ok):11} {fmt(check.condition_ok):9} {fmt(check.trend_ok):5}"
-            + (f"  {check.detail}" if check.detail else "")
-        )
+    print(line(*header))
+    for row, check in zip(rows, report.checks):
+        print(line(*row) + (f"  {check.detail}" if check.detail else ""))
     if args.out:
-        _write_report(
-            args.out,
-            ["regime", "input", "output", "feasibility", "condition", "trend"],
-            (
-                [check.regime, analytic.quadrant_str(check.input_quadrant),
-                 analytic.quadrant_str(check.output_quadrant),
-                 fmt(check.feasibility_ok), fmt(check.condition_ok), fmt(check.trend_ok)]
-                for check in report.checks
-            ),
-        )
+        _write_report(args.out, header, rows)
     if report.passed:
         print(f"verify-appendix: all {len(report.checks)} cells agree at {report.n_samples} samples")
         return CommandOutcome(0)
@@ -422,7 +403,7 @@ def dispatch(argv) -> CommandOutcome:
         return CommandOutcome(2, f"market.update_price: {exc}")
     except DegenerateSeriesError as exc:
         return CommandOutcome(2, f"stats: {exc}")
-    except FileNotFoundError as exc:
+    except OSError as exc:
         return CommandOutcome(2, f"io: {exc}")
 
 

@@ -169,9 +169,10 @@ def to_text(config: ModelConfig) -> str:
 
 
 _INT_KEYS = {"n_agents", "memory", "n_strategies", "horizon", "n_runs", "master_seed"}
+_HOMOGENEOUS_KEYS = {"b1", "b2"}
+_UNIFORM_KEYS = {"c1", "delta1", "c2", "delta2"}
 _FLOAT_KEYS = {
-    "initial_price", "a1", "a2", "b1", "b2",
-    "c1", "delta1", "c2", "delta2",
+    "initial_price", "a1", "a2", *_HOMOGENEOUS_KEYS, *_UNIFORM_KEYS,
     "event_probability", "event_strength",
 }
 
@@ -217,26 +218,21 @@ def from_items(items: dict[str, object]) -> ModelConfig:
     defaults = ModelConfig()
 
     kind = items.pop("coupling", None)
-    coupling_keys = {"b1", "b2", "c1", "delta1", "c2", "delta2"}
-    given = coupling_keys & items.keys()
+    hom_given = _HOMOGENEOUS_KEYS & items.keys()
+    uni_given = _UNIFORM_KEYS & items.keys()
+    if kind is None and hom_given and uni_given:
+        raise ConfigError("mixed homogeneous and uniform coupling keys")
     if kind is None:
-        if given & {"c1", "delta1", "c2", "delta2"} and given & {"b1", "b2"}:
-            raise ConfigError("mixed homogeneous and uniform coupling keys")
-        kind = "uniform" if given & {"c1", "delta1", "c2", "delta2"} else (
-            "homogeneous" if given else None
-        )
-    if kind == "homogeneous" or kind is None and not given:
-        bad = given - {"b1", "b2"}
-        if kind == "homogeneous" and bad:
-            raise ConfigError(f"keys {sorted(bad)} do not belong to homogeneous coupling")
+        kind = "uniform" if uni_given else "homogeneous"
+    bad = uni_given if kind == "homogeneous" else hom_given
+    if bad:
+        raise ConfigError(f"keys {sorted(bad)} do not belong to {kind} coupling")
+    if kind == "homogeneous":
         base = defaults.coupling
         coupling: Coupling = HomogeneousCoupling(
             b1=float(items.pop("b1", base.b1)), b2=float(items.pop("b2", base.b2))
         )
     else:
-        bad = given - {"c1", "delta1", "c2", "delta2"}
-        if bad:
-            raise ConfigError(f"keys {sorted(bad)} do not belong to uniform coupling")
         coupling = UniformCoupling(
             c1=float(items.pop("c1", 0.0)),
             delta1=float(items.pop("delta1", 1.0)),
@@ -271,11 +267,6 @@ def from_items(items: dict[str, object]) -> ModelConfig:
 
 def from_text(text: str) -> ModelConfig:
     return from_items(parse_items(text))
-
-
-def read_config(path) -> ModelConfig:
-    with open(path, encoding="utf-8") as fh:
-        return from_text(fh.read())
 
 
 def config_digest(config: ModelConfig) -> str:

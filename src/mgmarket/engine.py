@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import market, scoring, seeding, strategy
-from .config import ModelConfig, config_digest, validate
+from .config import ModelConfig, validate
 from .errors import NonPositivePriceError
 from .expectation import CouplingCoefficients, sample_couplings
 from .market import EventState, MarketState, StockSeries
@@ -224,8 +224,6 @@ class RunResult:
     market: MarketState
     correlation: float
     run_index: int
-    master_seed: int
-    config_digest: str
     event_states: tuple[EventState, EventState] | None = None
 
     def samples(self, stock_index: int) -> tuple[np.ndarray, np.ndarray]:
@@ -262,8 +260,6 @@ def _execute(
         market=state,
         correlation=rho,
         run_index=run_index,
-        master_seed=config.master_seed,
-        config_digest=config_digest(config),
         event_states=event_states,
     )
     return result, trace
@@ -286,10 +282,6 @@ def run_traced(config: ModelConfig, run_index: int) -> tuple[RunResult, Simulati
 class BatchResult:
     runs: list[RunResult]
     mean_correlation: float
-
-    @property
-    def correlations(self) -> np.ndarray:
-        return np.array([r.correlation for r in self.runs])
 
 
 def _run_task(args: tuple[ModelConfig, int]) -> RunResult:

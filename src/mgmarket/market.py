@@ -101,9 +101,6 @@ class MarketState:
     def main_returns(self, stock_index: int) -> np.ndarray:
         return self.stocks[stock_index].returns[self.warmup_steps :]
 
-    def main_total_demand(self, stock_index: int) -> np.ndarray:
-        return self.stocks[stock_index].total_demand[self.warmup_steps :]
-
 
 TRAJECTORY_COLUMNS = ["t", "P1", "r1", "A1", "re1_mean", "P2", "r2", "A2", "re2_mean"]
 

@@ -75,8 +75,6 @@ RunSamples = tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
 class SweepGrid:
     axes: tuple[Axis, Axis]
     rho_runs: np.ndarray  # (n1, n2, n_runs)
-    template: ModelConfig
-    started_at: str
     elapsed_seconds: float
     event_strength: Optional[float] = None
     samples: Optional[list[list[list[RunSamples]]]] = field(default=None, repr=False)
@@ -132,7 +130,6 @@ def _sweep(
     The cell at (v1, v2) is ``base`` with coupling ``coupling_of(v1, v2)``
     and the master seed :func:`cell_seed` folds from that coupling.
     """
-    started = time.strftime("%Y-%m-%dT%H:%M:%S")
     t0 = time.monotonic()
     n1, n2 = len(axes[0].values), len(axes[1].values)
     n_runs = base.n_runs
@@ -158,8 +155,6 @@ def _sweep(
     return SweepGrid(
         axes=axes,
         rho_runs=rho,
-        template=base,
-        started_at=started,
         elapsed_seconds=time.monotonic() - t0,
         event_strength=None if base.events is None else base.events.strength,
         samples=samples,
@@ -266,37 +261,27 @@ def write_grid(grid: SweepGrid, fh) -> None:
             )
 
 
-def iter_scatter_rows(grid: SweepGrid):
-    """Pooled (stock, run, t, expected, return) rows across all cells."""
+def grid_runs(grid: SweepGrid):
+    """``enumerate`` over every run's samples in cell order, so the run id of
+    run ``run`` of cell (i1, i2) is ``(i1 * n2 + i2) * n_runs + run``."""
     if grid.samples is None:
         raise ValueError("sweep was executed without collect_samples")
-    n2, n_runs = len(grid.axes[1].values), grid.n_runs
-    for i1 in range(len(grid.axes[0].values)):
-        for i2 in range(n2):
-            for run, run_samples in enumerate(grid.samples[i1][i2]):
-                run_id = (i1 * n2 + i2) * n_runs + run
-                for stock_index, (expected, realized) in enumerate(run_samples):
-                    for t in range(len(expected)):
-                        yield (stock_index + 1, run_id, t + 1,
-                               float(expected[t]), float(realized[t]))
+    return enumerate(run for row in grid.samples for cell in row for run in cell)
 
 
-def write_scatter(rows, fh) -> None:
+def write_scatter(runs, fh) -> None:
+    """Write (stock, run, t, expected, return) rows from (run id, samples) pairs."""
     writer = csv.writer(fh)
     writer.writerow(SCATTER_COLUMNS)
-    for stock, run_id, t, expected, realized in rows:
-        writer.writerow([stock, run_id, t, repr(expected), repr(realized)])
+    for run_id, run_samples in runs:
+        for stock, (expected, realized) in enumerate(run_samples, start=1):
+            for t in range(len(expected)):
+                writer.writerow(
+                    [stock, run_id, t + 1, repr(float(expected[t])), repr(float(realized[t]))]
+                )
 
 
 def pooled_grid_samples(grid: SweepGrid, stock_index: int) -> tuple[np.ndarray, np.ndarray]:
     """Concatenate every cell's (expected, return) samples for one stock."""
-    if grid.samples is None:
-        raise ValueError("sweep was executed without collect_samples")
-    xs, ys = [], []
-    for row in grid.samples:
-        for cell in row:
-            for run_samples in cell:
-                x, y = run_samples[stock_index]
-                xs.append(x)
-                ys.append(y)
+    xs, ys = zip(*(run_samples[stock_index] for _, run_samples in grid_runs(grid)))
     return np.concatenate(xs), np.concatenate(ys)

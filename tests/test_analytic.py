@@ -56,11 +56,6 @@ def test_classify_mixed_regime_example():
     assert verdict.probability_trend.direction == "decreasing"
 
 
-def test_classify_rejects_unsupported_a():
-    with pytest.raises(ValueError):
-        classify("I", (1, 1), (1, 1), a=(0.5, 1.0))
-
-
 def test_every_input_has_at_least_one_feasible_output():
     for (regime, input_q), block in CASE_TABLE.items():
         assert any(v.feasible for v in block.values()), (regime, input_q)

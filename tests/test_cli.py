@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from mgmarket import ModelConfig, run
 from mgmarket.cli import dispatch
 
 
@@ -215,6 +216,45 @@ def test_report_without_out_goes_to_stdout(tmp_path, capsys, verb, header):
 def test_regress_missing_file_is_runtime_error(tmp_path):
     outcome = run_cli("regress", str(tmp_path / "nope.csv"))
     assert outcome.exit_code == 2
+
+
+@pytest.mark.parametrize("verb", ["regress", "ar1"])
+def test_report_on_input_without_samples_is_runtime_error(tmp_path, verb):
+    scatter = tmp_path / "empty.csv"
+    scatter.write_text("stock,run,t,expected_return,return\n")
+    report = tmp_path / "report.csv"
+    outcome = run_cli(verb, str(scatter), "--out", str(report))
+    assert outcome.exit_code == 2
+    assert outcome.message == f"stats: no samples in {scatter}"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["empty.csv"]
+
+
+def test_simulate_scatter_carries_run_index(tmp_path):
+    scatter = tmp_path / "scatter.csv"
+    assert run_cli("simulate", *SMALL, "--scatter-out", str(scatter)).exit_code == 0
+    rows = list(csv.reader(scatter.open()))[1:]
+    config = ModelConfig(n_agents=31, horizon=50, n_runs=2, master_seed=7)
+    expected = []
+    for run_index in (0, 1):
+        result = run(config, run_index)
+        for stock in (1, 2):
+            x, y = result.samples(stock - 1)
+            expected += [
+                [str(stock), str(run_index), str(t + 1), repr(float(x[t])), repr(float(y[t]))]
+                for t in range(50)
+            ]
+    assert rows == expected
+
+
+@pytest.mark.parametrize("flag", ["--config", "--out"])
+def test_directory_path_is_io_error(tmp_path, flag):
+    directory = tmp_path / "adir"
+    directory.mkdir()
+    outcome = run_cli("simulate", *SMALL, flag, str(directory))
+    assert outcome.exit_code == 2
+    assert outcome.message.startswith("io: ")
+    assert list(directory.iterdir()) == []
+    assert not any(p.name.endswith(".part") for p in tmp_path.rglob(".mgmarket-*"))
 
 
 def test_verify_appendix_small(capsys):

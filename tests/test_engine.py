@@ -70,7 +70,7 @@ def test_score_replay_oracle(events):
     cfg = small_config(n_agents=25, horizon=80, events=events)
     result, trace = run_traced(cfg, 0)
     for j in (0, 1):
-        demands = result.market.main_total_demand(j)
+        demands = result.market.stocks[j].total_demand[result.market.warmup_steps :]
         recomputed = np.zeros((cfg.n_agents, cfg.n_strategies))
         for t in range(cfg.horizon):
             recomputed -= demands[t] * trace.slot_decisions[j, t]
@@ -149,12 +149,16 @@ def test_holding_breaks_demand_parity():
     assert np.abs(demands).max() <= 11
 
 
+def correlations(batch):
+    return [r.correlation for r in batch.runs]
+
+
 def test_run_many_mean_and_determinism():
     cfg = small_config(n_runs=4)
     batch1 = run_many(cfg)
     batch2 = run_many(cfg)
     assert batch1.mean_correlation == batch2.mean_correlation
-    assert batch1.mean_correlation == pytest.approx(np.mean(batch1.correlations))
+    assert batch1.mean_correlation == pytest.approx(np.mean(correlations(batch1)))
     single = run_many(replace(cfg, n_runs=1))
     assert single.mean_correlation == single.runs[0].correlation
 
@@ -163,7 +167,7 @@ def test_run_many_parallel_matches_serial():
     cfg = small_config(n_runs=4)
     serial = run_many(cfg, threads=1)
     parallel = run_many(cfg, threads=2)
-    assert serial.correlations.tolist() == parallel.correlations.tolist()
+    assert correlations(serial) == correlations(parallel)
 
 
 def test_nonpositive_price_aborts_with_context():
@@ -230,7 +234,7 @@ def test_swap_symmetry_statistical():
                                 n_agents=101, horizon=300, n_runs=runs, master_seed=41))
     two = run_many(small_config(coupling=HomogeneousCoupling(0.2, 0.8),
                                 n_agents=101, horizon=300, n_runs=runs, master_seed=42))
-    assert ks_2samp(one.correlations, two.correlations).pvalue > 0.01
+    assert ks_2samp(correlations(one), correlations(two)).pvalue > 0.01
 
 
 def test_cross_seed_stability_of_strong_coupling():

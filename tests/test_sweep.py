@@ -8,7 +8,7 @@ from mgmarket.sweep import (
     GRID_COLUMNS,
     SCATTER_COLUMNS,
     cell_seed,
-    iter_scatter_rows,
+    grid_runs,
     pooled_grid_samples,
     sweep_centers,
     sweep_events,
@@ -105,21 +105,49 @@ def test_grid_csv_format():
 def test_scatter_rows_and_pooling():
     grid = sweep_homogeneous(tiny(horizon=40), b1_values=[0.5], b2_values=[0.5],
                              collect_samples=True)
-    rows = list(iter_scatter_rows(grid))
-    assert len(rows) == 2 * 2 * 40  # stocks x runs x steps
-    stocks = {r[0] for r in rows}
-    assert stocks == {1, 2}
     buf = io.StringIO()
-    write_scatter(rows, buf)
-    assert buf.getvalue().splitlines()[0] == ",".join(SCATTER_COLUMNS)
+    write_scatter(grid_runs(grid), buf)
+    lines = buf.getvalue().splitlines()
+    assert lines[0] == ",".join(SCATTER_COLUMNS)
+    rows = [line.split(",") for line in lines[1:]]
+    assert len(rows) == 2 * 2 * 40  # stocks x runs x steps
+    assert {r[0] for r in rows} == {"1", "2"}
     x, y = pooled_grid_samples(grid, 0)
     assert len(x) == len(y) == 2 * 40
+
+
+def test_scatter_run_ids_are_cell_major():
+    grid = sweep_homogeneous(tiny(horizon=5), b1_values=[-0.5, 0.5], b2_values=[0.0, 0.5],
+                             collect_samples=True)
+    runs = list(grid_runs(grid))
+    # run id (i1 * n2 + i2) * n_runs + run, with n2 = n_runs = 2
+    expected = [(i1, i2, run) for i1 in range(2) for i2 in range(2) for run in range(2)]
+    assert [run_id for run_id, _ in runs] == list(range(8))
+    for run_id, samples in runs:
+        i1, i2, run = expected[run_id]
+        assert samples is grid.samples[i1][i2][run]
+
+    buf = io.StringIO()
+    write_scatter(runs, buf)
+    rows = [line.split(",") for line in buf.getvalue().splitlines()[1:]]
+    assert [int(r[1]) for r in rows] == [i for i in range(8) for _ in range(2 * 5)]
+    for r in rows:
+        i1, i2, run = expected[int(r[1])]
+        x, y = grid.samples[i1][i2][run][int(r[0]) - 1]
+        assert (float(r[3]), float(r[4])) == (x[int(r[2]) - 1], y[int(r[2]) - 1])
+
+    for stock in (0, 1):
+        x, y = pooled_grid_samples(grid, stock)
+        assert x.tolist() == [v for _, s in runs for v in s[stock][0].tolist()]
+        assert y.tolist() == [v for _, s in runs for v in s[stock][1].tolist()]
 
 
 def test_scatter_requires_collection():
     grid = sweep_homogeneous(tiny(), b1_values=[0.5], b2_values=[0.5])
     with pytest.raises(ValueError):
-        list(iter_scatter_rows(grid))
+        grid_runs(grid)
+    with pytest.raises(ValueError):
+        pooled_grid_samples(grid, 0)
 
 
 def test_sweep_signs_match_analytic_prediction():
