@@ -19,6 +19,7 @@ b2 in (-1,0); IV b1 in (-1,0) and b2 in (0,1).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -55,15 +56,6 @@ class IntervalCondition:
     lower: Optional[str]
     upper: Optional[str]
 
-    def __str__(self) -> str:
-        parts = []
-        if self.lower is not None:
-            parts.append(f"{self.lower} < ")
-        parts.append(self.variable)
-        if self.upper is not None:
-            parts.append(f" < {self.upper}")
-        return "".join(parts)
-
     def holds(self, b: tuple[float, float], dx, dy):
         """Vectorized membership test over sampled (dx, dy)."""
         value = dx if self.variable == "dr1" else dy
@@ -83,9 +75,6 @@ class Trend:
     parameter: str
     limit: float
     direction: str  # "increasing" or "decreasing"
-
-    def __str__(self) -> str:
-        return f"{self.direction} as {self.parameter} -> {self.limit:+g}"
 
 
 @dataclass(frozen=True)
@@ -257,7 +246,8 @@ def predict_correlation_sign(b: tuple[float, float]) -> str:
 
 _FEASIBILITY_MAGNITUDES = (0.1, 0.5, 0.9)
 _TREND_MAGNITUDES = (0.1, 0.3, 0.5, 0.7, 0.9)
-_TREND_FIXED_MAGNITUDE = 0.5
+# the magnitude of the weight a trend does not move
+_TREND_FIXED_MAGNITUDES = (0.5,) * len(_TREND_MAGNITUDES)
 
 
 @dataclass(frozen=True)
@@ -295,27 +285,10 @@ class AppendixReport:
         return [c for c in self.checks if not c.passed]
 
 
-def _grid_points(regime: str) -> list[tuple[float, float]]:
+def _points(regime: str, magnitude_pairs) -> list[tuple[float, float]]:
+    """The b points of ``regime`` with the given (|b1|, |b2|), in order."""
     s1, s2 = REGIME_SIGNS[regime]
-    return [
-        (s1 * m1, s2 * m2)
-        for m1 in _FEASIBILITY_MAGNITUDES
-        for m2 in _FEASIBILITY_MAGNITUDES
-    ]
-
-
-def _trend_points(regime: str, trend: Trend) -> list[tuple[float, float]]:
-    """Five b points ordered toward the trend's limit."""
-    s1, s2 = REGIME_SIGNS[regime]
-    points = []
-    for m in _TREND_MAGNITUDES:
-        if trend.parameter == "b1":
-            points.append((s1 * m, s2 * _TREND_FIXED_MAGNITUDE))
-        elif trend.parameter == "b2":
-            points.append((s1 * _TREND_FIXED_MAGNITUDE, s2 * m))
-        else:
-            points.append((s1 * m, s2 * m))
-    return points
+    return [(s1 * m1, s2 * m2) for m1, m2 in magnitude_pairs]
 
 
 def verify_appendix(n_samples: int = 1_000_000, master_seed: int = 0) -> AppendixReport:
@@ -338,7 +311,7 @@ def verify_appendix(n_samples: int = 1_000_000, master_seed: int = 0) -> Appendi
             }
             details: dict[Quadrant, str] = {q: "" for q in QUADRANTS}
 
-            for b in _grid_points(regime):
+            for b in _points(regime, itertools.product(_FEASIBILITY_MAGNITUDES, repeat=2)):
                 seed = fold_seed(master_seed, f"verify:{regime}:{input_q}", b)
                 rng = np.random.default_rng(seed)
                 dx, dy, du, dv = _sample_deltas(b, input_q, n_samples, rng)
@@ -369,8 +342,11 @@ def verify_appendix(n_samples: int = 1_000_000, master_seed: int = 0) -> Appendi
                 trend_ok: Optional[bool] = None
                 if verdict.probability_trend is not None:
                     trend = verdict.probability_trend
+                    # five b points ordered toward the trend's limit
+                    m1 = _TREND_FIXED_MAGNITUDES if trend.parameter == "b2" else _TREND_MAGNITUDES
+                    m2 = _TREND_FIXED_MAGNITUDES if trend.parameter == "b1" else _TREND_MAGNITUDES
                     freqs = []
-                    for b in _trend_points(regime, trend):
+                    for b in _points(regime, zip(m1, m2)):
                         seed = fold_seed(master_seed, f"trend:{regime}:{input_q}:{q}", b)
                         rng = np.random.default_rng(seed)
                         freqs.append(brute_force_feasibility(regime, b, input_q, n_samples, rng)[q])

@@ -31,10 +31,10 @@ from .config import (
     _UNIFORM_KEYS,
     ModelConfig,
     UniformCoupling,
+    _items,
     config_digest,
     from_items,
     parse_items,
-    to_text,
 )
 from .errors import ConfigError, DegenerateSeriesError, NonPositivePriceError
 
@@ -140,10 +140,9 @@ def _resolve_config(args) -> tuple[ModelConfig, dict]:
         items["coupling"] = "homogeneous" if hom_given else "uniform"
 
     if getattr(args, "no_events", False):
-        items.pop("event_probability", None)
-        items.pop("event_strength", None)
-        overrides.pop("event_probability", None)
-        overrides.pop("event_strength", None)
+        for key in ("event_probability", "event_strength"):
+            items.pop(key, None)
+            overrides.pop(key, None)
 
     items.update(overrides)
     return from_items(items), overrides
@@ -151,7 +150,7 @@ def _resolve_config(args) -> tuple[ModelConfig, dict]:
 
 def _write_summary(path, config, overrides, batch) -> None:
     record = {
-        "config": {k: v for k, v in parse_items(to_text(config)).items()},
+        "config": dict(_items(config)),
         "config_digest": config_digest(config),
         "overrides": overrides,
         "master_seed": config.master_seed,
@@ -235,13 +234,11 @@ def _cmd_sweep(args) -> CommandOutcome:
     grids: list[sweep.SweepGrid] = result if isinstance(result, list) else [result]
 
     for grid in grids:
-        out = args.out
-        scatter_out = args.scatter_out
-        if grid.event_strength is not None and len(grids) > 1:
-            if out:
-                out = _grid_out_path(out, grid.event_strength)
-            if scatter_out:
-                scatter_out = _grid_out_path(scatter_out, grid.event_strength)
+        # only an events sweep returns more than one grid
+        out, scatter_out = (
+            _grid_out_path(path, grid.event_strength) if path and len(grids) > 1 else path
+            for path in (args.out, args.scatter_out)
+        )
         if out:
             with _atomic_open(out) as fh:
                 sweep.write_grid(grid, fh)
@@ -249,7 +246,7 @@ def _cmd_sweep(args) -> CommandOutcome:
             with _atomic_open(scatter_out) as fh:
                 sweep.write_scatter(sweep.grid_runs(grid), fh)
         label = "" if grid.event_strength is None else f" (k={grid.event_strength:g})"
-        n1, n2 = (len(a.values) for a in grid.axes)
+        n1, n2 = map(len, grid.axes)
         print(
             f"sweep {args.experiment}{label}: {n1}x{n2} cells x {grid.n_runs} runs "
             f"in {grid.elapsed_seconds:.1f}s"

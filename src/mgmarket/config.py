@@ -128,46 +128,6 @@ def validate(config: ModelConfig) -> ModelConfig:
 # --- flat key = value config format ---------------------------------------
 
 _BOOL_WORDS = {"true": True, "false": False}
-
-
-def to_text(config: ModelConfig) -> str:
-    """Serialize to the flat config format (all fields, one per line)."""
-    lines = [
-        f"n_agents = {config.n_agents}",
-        f"memory = {config.memory}",
-        f"n_strategies = {config.n_strategies}",
-        f"horizon = {config.horizon}",
-        f"initial_price = {config.initial_price!r}",
-        f"a1 = {config.a[0]!r}",
-        f"a2 = {config.a[1]!r}",
-    ]
-    if isinstance(config.coupling, HomogeneousCoupling):
-        lines += [
-            "coupling = homogeneous",
-            f"b1 = {config.coupling.b1!r}",
-            f"b2 = {config.coupling.b2!r}",
-        ]
-    else:
-        lines += [
-            "coupling = uniform",
-            f"c1 = {config.coupling.c1!r}",
-            f"delta1 = {config.coupling.delta1!r}",
-            f"c2 = {config.coupling.c2!r}",
-            f"delta2 = {config.coupling.delta2!r}",
-        ]
-    lines.append(f"allow_hold = {'true' if config.allow_hold else 'false'}")
-    if config.events is not None:
-        lines += [
-            f"event_probability = {config.events.probability!r}",
-            f"event_strength = {config.events.strength!r}",
-        ]
-    lines += [
-        f"n_runs = {config.n_runs}",
-        f"master_seed = {config.master_seed}",
-    ]
-    return "\n".join(lines) + "\n"
-
-
 _INT_KEYS = {"n_agents", "memory", "n_strategies", "horizon", "n_runs", "master_seed"}
 _HOMOGENEOUS_KEYS = {"b1", "b2"}
 _UNIFORM_KEYS = {"c1", "delta1", "c2", "delta2"}
@@ -175,6 +135,41 @@ _FLOAT_KEYS = {
     "initial_price", "a1", "a2", *_HOMOGENEOUS_KEYS, *_UNIFORM_KEYS,
     "event_probability", "event_strength",
 }
+
+
+def _items(config: ModelConfig) -> list[tuple[str, object]]:
+    """Every field of ``config`` as (key, value) pairs, in file-format order."""
+    c = config.coupling
+    if isinstance(c, HomogeneousCoupling):
+        coupling = [("coupling", "homogeneous"), ("b1", c.b1), ("b2", c.b2)]
+    else:
+        coupling = [
+            ("coupling", "uniform"), ("c1", c.c1), ("delta1", c.delta1),
+            ("c2", c.c2), ("delta2", c.delta2),
+        ]
+    events = []
+    if config.events is not None:
+        events = [
+            ("event_probability", config.events.probability),
+            ("event_strength", config.events.strength),
+        ]
+    return [
+        ("n_agents", config.n_agents), ("memory", config.memory),
+        ("n_strategies", config.n_strategies), ("horizon", config.horizon),
+        ("initial_price", config.initial_price), ("a1", config.a[0]), ("a2", config.a[1]),
+        *coupling, ("allow_hold", config.allow_hold), *events,
+        ("n_runs", config.n_runs), ("master_seed", config.master_seed),
+    ]
+
+
+def to_text(config: ModelConfig) -> str:
+    """Serialize to the flat config format (all fields, one per line)."""
+    lines = []
+    for key, value in _items(config):
+        if key == "allow_hold":
+            value = "true" if value else "false"
+        lines.append(f"{key} = {value!r}" if key in _FLOAT_KEYS else f"{key} = {value}")
+    return "\n".join(lines) + "\n"
 
 
 def parse_items(text: str) -> dict[str, object]:

@@ -28,6 +28,7 @@ deviation of each stock's internal demand, then re-runs with shocks enabled.
 
 from __future__ import annotations
 
+import functools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -58,32 +59,26 @@ def build_components(config: ModelConfig, run_index: int) -> RunComponents:
     decision_values = np.asarray(config.decision_set, dtype=np.int8)
     seed = config.master_seed
 
-    tables = []
-    warmups = []
-    tiebreaks = []
-    event_rngs = []
-    for stock in (1, 2):
-        strat_rng = seeding.stream(seed, run_index, seeding.stock_label(seeding.STRATEGIES, stock))
-        tables.append(strategy.sample_strategy_tables(strat_rng, n, s, m, config.decision_set))
-        warm_rng = seeding.stream(seed, run_index, seeding.stock_label(seeding.WARMUP, stock))
-        raw = warm_rng.integers(0, len(decision_values), size=(config.warmup_steps, n))
-        warmups.append(decision_values[raw])
-        tiebreaks.append(
-            seeding.stream(seed, run_index, seeding.stock_label(seeding.TIEBREAK, stock))
-        )
-        event_rngs.append(
-            seeding.stream(seed, run_index, seeding.stock_label(seeding.EVENTS, stock))
+    def pair(purpose: str) -> tuple[np.random.Generator, np.random.Generator]:
+        """The streams of ``purpose`` for stocks 1 and 2."""
+        return tuple(
+            seeding.stream(seed, run_index, seeding.stock_label(purpose, stock)) for stock in (1, 2)
         )
 
-    couplings = sample_couplings(
-        config.coupling, n, seeding.stream(seed, run_index, seeding.COUPLINGS)
-    )
     return RunComponents(
-        tables=(tables[0], tables[1]),
-        couplings=couplings,
-        warmup_decisions=(warmups[0], warmups[1]),
-        tiebreak_rngs=(tiebreaks[0], tiebreaks[1]),
-        event_rngs=(event_rngs[0], event_rngs[1]),
+        tables=tuple(
+            strategy.sample_strategy_tables(rng, n, s, m, config.decision_set)
+            for rng in pair(seeding.STRATEGIES)
+        ),
+        couplings=sample_couplings(
+            config.coupling, n, seeding.stream(seed, run_index, seeding.COUPLINGS)
+        ),
+        warmup_decisions=tuple(
+            decision_values[rng.integers(0, len(decision_values), size=(config.warmup_steps, n))]
+            for rng in pair(seeding.WARMUP)
+        ),
+        tiebreak_rngs=pair(seeding.TIEBREAK),
+        event_rngs=pair(seeding.EVENTS),
     )
 
 
@@ -284,11 +279,6 @@ class BatchResult:
     mean_correlation: float
 
 
-def _run_task(args: tuple[ModelConfig, int]) -> RunResult:
-    config, run_index = args
-    return run(config, run_index)
-
-
 def pool_map(fn, tasks: list, threads: int | None) -> list:
     """``[fn(task) for task in tasks]``, spread over ``threads`` worker
     processes when that is more than one.
@@ -310,7 +300,7 @@ def run_many(config: ModelConfig, threads: int | None = None) -> BatchResult:
     worker count.
     """
     validate(config)
-    results = pool_map(_run_task, [(config, i) for i in range(config.n_runs)], threads)
+    results = pool_map(functools.partial(run, config), list(range(config.n_runs)), threads)
     mean_rho = float(np.mean([r.correlation for r in results]))
     return BatchResult(runs=results, mean_correlation=mean_rho)
 

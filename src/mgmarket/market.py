@@ -114,18 +114,13 @@ def write_trajectory(state: MarketState, fh) -> None:
     writer = csv.writer(fh)
     writer.writerow(TRAJECTORY_COLUMNS)
     w = state.warmup_steps
-    s1, s2 = state.stocks
     for t in range(state.horizon):
-        writer.writerow(
-            [
-                t + 1,
-                repr(float(s1.prices[w + t])),
-                repr(float(s1.returns[w + t])),
-                _demand_cell(s1.total_demand[w + t]),
-                repr(float(s1.mean_expectation[t])),
-                repr(float(s2.prices[w + t])),
-                repr(float(s2.returns[w + t])),
-                _demand_cell(s2.total_demand[w + t]),
-                repr(float(s2.mean_expectation[t])),
+        row = [t + 1]
+        for s in state.stocks:
+            row += [
+                repr(float(s.prices[w + t])),
+                repr(float(s.returns[w + t])),
+                _demand_cell(s.total_demand[w + t]),
+                repr(float(s.mean_expectation[t])),
             ]
-        )
+        writer.writerow(row)

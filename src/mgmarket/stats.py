@@ -81,16 +81,9 @@ class Ar1Report:
     n: int
 
 
-def _lag_pairs(series) -> tuple[np.ndarray, np.ndarray]:
-    r = np.asarray(series, dtype=float)
-    if r.ndim != 1 or len(r) < 3:
-        raise DegenerateSeriesError("need at least three points")
-    return r[:-1], r[1:]
-
-
 def ar1(series) -> Ar1Report:
     """First-order autoregressive coefficient: OLS slope of r(t) on r(t-1)."""
-    return ar1_pooled([np.asarray(series, dtype=float)])
+    return ar1_pooled([series])
 
 
 def ar1_pooled(series_list: Sequence[np.ndarray]) -> Ar1Report:
@@ -99,19 +92,11 @@ def ar1_pooled(series_list: Sequence[np.ndarray]) -> Ar1Report:
     Pairs never straddle series boundaries, so pooling runs does not fabricate
     transitions between them.
     """
-    xs, ys = [], []
-    for series in series_list:
-        x, y = _lag_pairs(series)
-        xs.append(x)
-        ys.append(y)
-    x = np.concatenate(xs)
-    y = np.concatenate(ys)
-    dx = x - x.mean()
-    sxx = float(dx @ dx)
-    if sxx == 0.0:
-        raise DegenerateSeriesError("constant lagged series")
-    phi = float(dx @ (y - y.mean())) / sxx
-    return Ar1Report(phi=phi, n=len(x))
+    runs = [np.asarray(series, dtype=float) for series in series_list]
+    if any(r.ndim != 1 or len(r) < 3 for r in runs):
+        raise DegenerateSeriesError("need at least three points")
+    report = ols(np.concatenate([r[:-1] for r in runs]), np.concatenate([r[1:] for r in runs]))
+    return Ar1Report(phi=report.beta1, n=report.n)
 
 
 def _average_ranks(v: np.ndarray) -> np.ndarray:

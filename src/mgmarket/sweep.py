@@ -62,26 +62,19 @@ def cell_seed(master_seed: int, coupling: Coupling) -> int:
     )
 
 
-@dataclass(frozen=True)
-class Axis:
-    name: str
-    values: np.ndarray
-
-
 RunSamples = tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
 @dataclass
 class SweepGrid:
-    axes: tuple[Axis, Axis]
+    axes: tuple[np.ndarray, np.ndarray]
     rho_runs: np.ndarray  # (n1, n2, n_runs)
     elapsed_seconds: float
     event_strength: Optional[float] = None
     samples: Optional[list[list[list[RunSamples]]]] = field(default=None, repr=False)
 
     def __post_init__(self):
-        n1, n2 = len(self.axes[0].values), len(self.axes[1].values)
-        if self.rho_runs.shape[:2] != (n1, n2):
+        if self.rho_runs.shape[:2] != tuple(map(len, self.axes)):
             raise ValueError("cell count must equal the axis product")
         if np.any(np.abs(self.mean_rho) > 1.0 + 1e-12):
             raise ValueError("cell means must lie in [-1, 1]")
@@ -110,17 +103,14 @@ def _cell_task(args) -> tuple[float, Optional[RunSamples]]:
     return result.correlation, samples
 
 
-def _axes(names: tuple[str, str], values: tuple, default) -> tuple[Axis, ...]:
+def _axes(values: tuple, default) -> tuple[np.ndarray, ...]:
     """The two axes of a sweep; ``default()`` stands in for values of None."""
-    return tuple(
-        Axis(name, np.asarray(default() if v is None else v, dtype=float))
-        for name, v in zip(names, values)
-    )
+    return tuple(np.asarray(default() if v is None else v, dtype=float) for v in values)
 
 
 def _sweep(
     base: ModelConfig,
-    axes: tuple[Axis, ...],
+    axes: tuple[np.ndarray, ...],
     coupling_of: Callable[[float, float], Coupling],
     threads: Optional[int],
     collect_samples: bool,
@@ -131,27 +121,23 @@ def _sweep(
     and the master seed :func:`cell_seed` folds from that coupling.
     """
     t0 = time.monotonic()
-    n1, n2 = len(axes[0].values), len(axes[1].values)
+    n1, n2 = map(len, axes)
     n_runs = base.n_runs
     tasks = []
-    for v1 in axes[0].values:
-        for v2 in axes[1].values:
+    for v1 in axes[0]:
+        for v2 in axes[1]:
             coupling = coupling_of(float(v1), float(v2))
             seed = cell_seed(base.master_seed, coupling)
             cell = replace(base, coupling=coupling, master_seed=seed)
             tasks += [(cell, run, collect_samples) for run in range(n_runs)]
     outcomes = engine.pool_map(_cell_task, tasks, threads)
 
-    rho = np.empty((n1, n2, n_runs))
-    samples: Optional[list[list[list[RunSamples]]]] = None
+    # tasks run in (cell row, cell column, run) order
+    rho = np.array([value for value, _ in outcomes], dtype=float).reshape(n1, n2, n_runs)
+    samples = None
     if collect_samples:
-        samples = [[[None] * n_runs for _ in range(n2)] for _ in range(n1)]  # type: ignore[list-item]
-    for flat, (value, run_samples) in enumerate(outcomes):
-        i1, rest = divmod(flat, n2 * n_runs)
-        i2, run = divmod(rest, n_runs)
-        rho[i1, i2, run] = value
-        if samples is not None:
-            samples[i1][i2][run] = run_samples
+        runs = (run_samples for _, run_samples in outcomes)
+        samples = [[[next(runs) for _ in range(n_runs)] for _ in range(n2)] for _ in range(n1)]
     return SweepGrid(
         axes=axes,
         rho_runs=rho,
@@ -170,7 +156,7 @@ def sweep_homogeneous(
 ) -> SweepGrid:
     """Mean correlation over a (b1, b2) grid with shared coupling weights."""
     validate(base_config)
-    axes = _axes(("b1", "b2"), (b1_values, b2_values), default_homogeneous_axis)
+    axes = _axes((b1_values, b2_values), default_homogeneous_axis)
     base = replace(base_config, events=None)
     return _sweep(base, axes, HomogeneousCoupling, threads, collect_samples)
 
@@ -186,7 +172,7 @@ def sweep_centers(
     validate(base_config)
     if not isinstance(base_config.coupling, UniformCoupling):
         raise ValueError("centers sweep requires a uniform coupling template")
-    axes = _axes(("c1", "c2"), (c1_values, c2_values), default_centers_axis)
+    axes = _axes((c1_values, c2_values), default_centers_axis)
     base = replace(base_config, events=None)
     d1, d2 = base.coupling.delta1, base.coupling.delta2
     return _sweep(
@@ -205,7 +191,7 @@ def sweep_ranges(
     validate(base_config)
     if not isinstance(base_config.coupling, UniformCoupling):
         raise ValueError("ranges sweep requires a uniform coupling template")
-    axes = _axes(("delta1", "delta2"), (delta1_values, delta2_values), default_ranges_axis)
+    axes = _axes((delta1_values, delta2_values), default_ranges_axis)
     base = replace(base_config, events=None)
     c1, c2 = base.coupling.c1, base.coupling.c2
     return _sweep(
@@ -228,7 +214,7 @@ def sweep_events(
     the k=0 baseline.
     """
     validate(base_config)
-    axes = _axes(("b1", "b2"), (b1_values, b2_values), default_homogeneous_axis)
+    axes = _axes((b1_values, b2_values), default_homogeneous_axis)
     if probability is None:
         probability = (
             base_config.events.probability
@@ -253,8 +239,8 @@ def write_grid(grid: SweepGrid, fh) -> None:
     writer = csv.writer(fh)
     writer.writerow(GRID_COLUMNS)
     mean, std = grid.mean_rho, grid.std_rho
-    for i1, v1 in enumerate(grid.axes[0].values):
-        for i2, v2 in enumerate(grid.axes[1].values):
+    for i1, v1 in enumerate(grid.axes[0]):
+        for i2, v2 in enumerate(grid.axes[1]):
             writer.writerow(
                 [repr(float(v1)), repr(float(v2)), repr(float(mean[i1, i2])),
                  repr(float(std[i1, i2])), grid.n_runs]

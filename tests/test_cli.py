@@ -12,6 +12,11 @@ def run_cli(*argv):
     return dispatch(list(argv))
 
 
+def read_rows(path):
+    with path.open() as fh:
+        return list(csv.reader(fh))
+
+
 SMALL = ["--n-agents", "31", "--horizon", "50", "--runs", "2", "--seed", "7", "--threads", "1"]
 
 
@@ -21,7 +26,7 @@ def test_simulate_happy_path(tmp_path):
     outcome = run_cli("simulate", *SMALL, "--b1", "0.5", "--b2", "0.5",
                       "--out", str(out), "--summary", str(summary))
     assert outcome.exit_code == 0
-    rows = list(csv.reader(out.open()))
+    rows = read_rows(out)
     assert rows[0] == ["t", "P1", "r1", "A1", "re1_mean", "P2", "r2", "A2", "re2_mean"]
     assert len(rows) == 51
     record = json.loads(summary.read_text())
@@ -53,6 +58,22 @@ def test_config_file_with_flag_override(tmp_path):
     run_cli("simulate", *SMALL, "--b1", "0.5", "--b2", "0.5", "--out", str(ref))
     assert out2.read_bytes() == ref.read_bytes()
     assert out1.read_bytes() != out2.read_bytes()
+
+
+def test_no_events_drops_event_keys_of_file_and_flags(tmp_path):
+    body = "n_agents = 31\nhorizon = 50\nn_runs = 2\nmaster_seed = 7\nb1 = 0.3\nb2 = -0.2\n"
+    with_events, without = tmp_path / "events.cfg", tmp_path / "plain.cfg"
+    with_events.write_text(body + "event_probability = 0.05\nevent_strength = 2.0\n")
+    without.write_text(body)
+    s1, s2 = tmp_path / "s1.json", tmp_path / "s2.json"
+    assert run_cli("simulate", "--config", str(with_events), "--no-events", "--event-p", "0.1",
+                   "--threads", "1", "--summary", str(s1)).exit_code == 0
+    assert run_cli("simulate", "--config", str(without), "--threads", "1",
+                   "--summary", str(s2)).exit_code == 0
+    dropped, plain = json.loads(s1.read_text()), json.loads(s2.read_text())
+    assert not {"event_probability", "event_strength"} & dropped["config"].keys()
+    assert dropped["overrides"] == {}
+    assert dropped["runs"] == plain["runs"]
 
 
 def test_config_env_var(tmp_path, monkeypatch):
@@ -111,23 +132,30 @@ def test_sweep_reduced_grid(tmp_path):
         "--out", str(out),
     )
     assert outcome.exit_code == 0
-    rows = list(csv.reader(out.open()))
+    rows = read_rows(out)
     assert rows[0] == ["axis1", "axis2", "mean_rho", "std_rho", "n_runs"]
     assert len(rows) == 1 + 9
     assert {float(r[0]) for r in rows[1:]} == {-0.9, 0.0, 0.9}
 
 
 def test_sweep_events_writes_one_grid_per_k(tmp_path):
-    out = tmp_path / "grid.csv"
-    outcome = run_cli(
-        "sweep", "--experiment", "events", *SMALL,
-        "--b1-min", "0.5", "--b1-max", "0.5", "--b1-step", "1",
-        "--b2-min", "0.5", "--b2-max", "0.5", "--b2-step", "1",
-        "--k-values", "1,2", "--event-p", "0.05", "--out", str(out),
-    )
-    assert outcome.exit_code == 0
-    assert (tmp_path / "grid_k1.csv").exists()
-    assert (tmp_path / "grid_k2.csv").exists()
+    cases = {
+        "1,2": ["grid_k1.csv", "grid_k2.csv", "scatter_k1.csv", "scatter_k2.csv"],
+        "2": ["grid.csv", "scatter.csv"],  # one strength keeps the paths as given
+    }
+    for i, (k_values, written) in enumerate(cases.items()):
+        directory = tmp_path / str(i)
+        directory.mkdir()
+        outcome = run_cli(
+            "sweep", "--experiment", "events", *SMALL,
+            "--b1-min", "0.5", "--b1-max", "0.5", "--b1-step", "1",
+            "--b2-min", "0.5", "--b2-max", "0.5", "--b2-step", "1",
+            "--k-values", k_values, "--event-p", "0.05",
+            "--out", str(directory / "grid.csv"),
+            "--scatter-out", str(directory / "scatter.csv"),
+        )
+        assert outcome.exit_code == 0
+        assert sorted(p.name for p in directory.iterdir()) == written
 
 
 def test_sweep_bad_k_values_is_usage_error():
@@ -151,7 +179,7 @@ def test_sweep_uniform_experiments(tmp_path, experiment, axis, values):
         "--out", str(out),
     )
     assert outcome.exit_code == 0
-    rows = list(csv.reader(out.open()))
+    rows = read_rows(out)
     assert len(rows) == 1 + 2
     assert {float(r[0]) for r in rows[1:]} == values
     assert {float(r[1]) for r in rows[1:]} == {1.0}
@@ -166,7 +194,7 @@ def test_sweep_holding_experiment(tmp_path):
         "--out", str(out),
     )
     assert outcome.exit_code == 0
-    assert len(list(csv.reader(out.open()))) == 2
+    assert len(read_rows(out)) == 2
 
 
 def test_regress_on_scatter_and_trajectory(tmp_path):
@@ -177,13 +205,13 @@ def test_regress_on_scatter_and_trajectory(tmp_path):
     report = tmp_path / "report.csv"
     outcome = run_cli("regress", str(scatter), "--out", str(report))
     assert outcome.exit_code == 0
-    rows = list(csv.reader(report.open()))
+    rows = read_rows(report)
     assert rows[0] == ["stock", "beta1", "p_value", "r_squared", "n"]
     assert [r[0] for r in rows[1:]] == ["1", "2"]
     assert int(rows[1][4]) == 2 * 50  # two runs pooled
     outcome = run_cli("regress", str(traj), "--out", str(report))
     assert outcome.exit_code == 0
-    rows = list(csv.reader(report.open()))
+    rows = read_rows(report)
     assert int(rows[1][4]) == 50  # one trajectory
 
 
@@ -193,7 +221,7 @@ def test_ar1_verb(tmp_path):
     report = tmp_path / "phi.csv"
     outcome = run_cli("ar1", str(traj), "--out", str(report))
     assert outcome.exit_code == 0
-    rows = list(csv.reader(report.open()))
+    rows = read_rows(report)
     assert rows[0] == ["stock", "phi", "n"]
     assert len(rows) == 3
     assert int(rows[1][2]) == 49
@@ -232,7 +260,7 @@ def test_report_on_input_without_samples_is_runtime_error(tmp_path, verb):
 def test_simulate_scatter_carries_run_index(tmp_path):
     scatter = tmp_path / "scatter.csv"
     assert run_cli("simulate", *SMALL, "--scatter-out", str(scatter)).exit_code == 0
-    rows = list(csv.reader(scatter.open()))[1:]
+    rows = read_rows(scatter)[1:]
     config = ModelConfig(n_agents=31, horizon=50, n_runs=2, master_seed=7)
     expected = []
     for run_index in (0, 1):

@@ -113,6 +113,15 @@ def test_ar1_pooled_excludes_cross_run_pairs():
     assert naive.phi != pytest.approx(pooled.phi)
 
 
+def test_ar1_refuses_constant_and_too_short_series():
+    with pytest.raises(DegenerateSeriesError, match="constant regressor"):
+        ar1(np.full(10, 0.01))
+    # three points give two lag pairs, too few for the slope's standard error
+    with pytest.raises(DegenerateSeriesError):
+        ar1([0.01, -0.02, 0.03])
+    assert ar1([0.01, -0.02, 0.03, -0.01]).n == 3
+
+
 def test_spearman_monotone_map():
     x = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
     y = np.exp(x)

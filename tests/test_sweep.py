@@ -33,6 +33,9 @@ def test_homogeneous_grid_shape_and_bounds():
     assert grid.rho_runs.shape == (2, 3, 2)
     assert np.all(np.abs(grid.mean_rho) <= 1.0)
     assert grid.n_runs == 2
+    empty = sweep_homogeneous(tiny(), b1_values=[], b2_values=[0.5], collect_samples=True)
+    assert empty.rho_runs.shape == (0, 1, 2)
+    assert empty.samples == []
 
 
 def test_cells_independent_of_grid_layout():
@@ -159,8 +162,8 @@ def test_sweep_signs_match_analytic_prediction():
     )
     strongest = max(grid.mean_rho[0, 0], grid.mean_rho[2, 2], key=abs)
     matches = 0
-    for i1, b1 in enumerate(grid.axes[0].values):
-        for i2, b2 in enumerate(grid.axes[1].values):
+    for i1, b1 in enumerate(grid.axes[0]):
+        for i2, b2 in enumerate(grid.axes[1]):
             mean = grid.mean_rho[i1, i2]
             predicted = predict_correlation_sign((b1, b2))
             if predicted == "positive":
