@@ -19,7 +19,7 @@ from .config import (
     to_text,
     validate,
 )
-from .engine import BatchResult, RunResult, run, run_many, run_traced
+from .engine import BatchResult, RunResult, run, run_many
 from .errors import (
     CoefficientOutOfRangeError,
     ConfigError,
@@ -72,7 +72,6 @@ __all__ = [
     "predict_correlation_sign",
     "run",
     "run_many",
-    "run_traced",
     "spearman",
     "sweep_centers",
     "sweep_events",

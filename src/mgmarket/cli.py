@@ -89,6 +89,16 @@ def _float_list(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"expected numbers, got {text!r}") from None
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of a positive integer."""
+    try:
+        if int(text) > 0:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+
+
 def _add_model_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="flat key=value config file")
     parser.add_argument("--n-agents", type=int, dest="n_agents")
@@ -184,10 +194,12 @@ def _cmd_simulate(args) -> CommandOutcome:
     return CommandOutcome(0)
 
 
+_SWEEP_AXES = ("b1", "b2", "c1", "c2", "delta1", "delta2")
+_AXIS_PARTS = ("min", "max", "step")
+
+
 def _axis_from_flags(args, name: str, default: np.ndarray) -> np.ndarray:
-    lo = getattr(args, f"{name}_min", None)
-    hi = getattr(args, f"{name}_max", None)
-    step = getattr(args, f"{name}_step", None)
+    lo, hi, step = (getattr(args, f"{name}_{part}") for part in _AXIS_PARTS)
     if lo is None and hi is None and step is None:
         return default
     lo = default[0] if lo is None else lo
@@ -218,6 +230,14 @@ _EXPERIMENTS = {
 def _cmd_sweep(args) -> CommandOutcome:
     config, _ = _resolve_config(args)
     name, axis_flags, default_axis = _EXPERIMENTS[args.experiment]
+    unswept = [
+        f"--{axis}-{part}"
+        for axis in _SWEEP_AXES
+        for part in _AXIS_PARTS
+        if axis not in axis_flags and getattr(args, f"{axis}_{part}") is not None
+    ]
+    if unswept:
+        raise ConfigError(f"--experiment {args.experiment} does not sweep {', '.join(unswept)}")
     if args.experiment == "holding":
         config = replace(config, allow_hold=True)
     elif args.experiment in ("centers", "ranges"):
@@ -354,10 +374,9 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=["homogeneous", "centers", "ranges", "events", "holding"],
     )
-    for axis in ("b1", "b2", "c1", "c2", "delta1", "delta2"):
-        p.add_argument(f"--{axis}-min", type=float, dest=f"{axis}_min")
-        p.add_argument(f"--{axis}-max", type=float, dest=f"{axis}_max")
-        p.add_argument(f"--{axis}-step", type=float, dest=f"{axis}_step")
+    for axis in _SWEEP_AXES:
+        for part in _AXIS_PARTS:
+            p.add_argument(f"--{axis}-{part}", type=float, dest=f"{axis}_{part}")
     p.add_argument(
         "--k-values", dest="k_values", type=_float_list, help="comma-separated shock strengths"
     )
@@ -376,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_ar1)
 
     p = sub.add_parser("verify-appendix", help="check the sign-case table against sampling")
-    p.add_argument("--samples", type=int, default=1_000_000)
+    p.add_argument("--samples", type=_positive_int, default=1_000_000)
     p.add_argument("--seed", type=int, dest="master_seed", default=0)
     p.add_argument("--out", help="pass/fail table CSV")
     p.set_defaults(handler=_cmd_verify_appendix)

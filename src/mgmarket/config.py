@@ -97,8 +97,8 @@ def validate(config: ModelConfig) -> ModelConfig:
             f" memory={config.memory} need a {table_bytes}-byte draw per stock,"
             f" over the {_MAX_TABLE_DRAW_BYTES}-byte limit"
         )
-    if config.horizon <= 0:
-        raise ConfigError(f"horizon must be positive, got {config.horizon}")
+    if config.horizon < 2:  # a return correlation needs two recorded steps
+        raise ConfigError(f"horizon must be at least 2, got {config.horizon}")
     if config.initial_price <= 0:
         raise ConfigError(f"initial_price must be positive, got {config.initial_price}")
     for j, aj in enumerate(config.a, start=1):

@@ -82,22 +82,11 @@ def build_components(config: ModelConfig, run_index: int) -> RunComponents:
     )
 
 
-@dataclass
-class SimulationTrace:
-    """Per-step internals recorded for verification runs (small configs)."""
-
-    state_indices: np.ndarray  # (2, T, N)
-    slot_decisions: np.ndarray  # (2, T, N, S)
-    selected_slots: np.ndarray  # (2, T, N)
-    final_scores: np.ndarray  # (2, N, S)
-
-
 def simulate_trajectory(
     config: ModelConfig,
     components: RunComponents,
     event_states: tuple[EventState, EventState] | None = None,
-    record_trace: bool = False,
-) -> tuple[MarketState, SimulationTrace | None]:
+) -> MarketState:
     """Run the dynamics with fully realized components.
 
     Exposed separately from :func:`run` so tests can inject hand-built
@@ -117,15 +106,6 @@ def simulate_trajectory(
     internal = [np.empty(total_steps, dtype=np.int64) for _ in range(2)]
     total = [np.empty(total_steps) for _ in range(2)]
     re_mean = [np.empty(horizon) for _ in range(2)]
-
-    trace = None
-    if record_trace:
-        trace = SimulationTrace(
-            state_indices=np.empty((2, horizon, n), dtype=np.int32),
-            slot_decisions=np.empty((2, horizon, n, s_slots), dtype=np.int8),
-            selected_slots=np.empty((2, horizon, n), dtype=np.int16),
-            final_scores=np.zeros((2, n, s_slots)),
-        )
 
     prev_price = [config.initial_price, config.initial_price]
     last_return = [0.0, 0.0]
@@ -161,7 +141,7 @@ def simulate_trajectory(
     event_rngs = components.event_rngs
     stock_scores = (scores[0].T, scores[1].T)
     # per-step scratch, reused by both stocks: state_idx is consumed by
-    # decide_all_slots (and copied into the trace) before the next stock
+    # decide_all_slots before the next stock
     expected = np.empty(n)
     e_bits = np.empty(n, dtype=bool)
     state_idx = np.empty(n, dtype=np.int64)
@@ -185,18 +165,10 @@ def simulate_trajectory(
             a_total = advance(j, step, a_int, a_ext)
             scoring.update_scores(stock_scores[j], decisions, a_total)
 
-            if trace is not None:
-                trace.state_indices[j, t] = state_idx
-                trace.slot_decisions[j, t] = decisions
-                trace.selected_slots[j, t] = slot
-
         # record the population-mean expectation standing after this step's
         # returns, i.e. the forecast agents carry into the next step
         for j in (0, 1):
             re_mean[j][t] = a_own[j] * last_return[j] + mean_b[j] * last_return[1 - j]
-
-    if trace is not None:
-        trace.final_scores[:] = scores.transpose(0, 2, 1)
 
     stocks = tuple(
         StockSeries(
@@ -208,10 +180,7 @@ def simulate_trajectory(
         )
         for j in (0, 1)
     )
-    state = MarketState(
-        initial_price=config.initial_price, warmup_steps=warm, stocks=stocks
-    )
-    return state, trace
+    return MarketState(initial_price=config.initial_price, warmup_steps=warm, stocks=stocks)
 
 
 @dataclass(frozen=True)
@@ -227,15 +196,14 @@ class RunResult:
         return series.mean_expectation, self.market.main_returns(stock_index)
 
 
-def _execute(
-    config: ModelConfig, run_index: int, record_trace: bool
-) -> tuple[RunResult, SimulationTrace | None]:
+def run(config: ModelConfig, run_index: int) -> RunResult:
+    """Execute one full run and compute the return correlation."""
     validate(config)
     components = build_components(config, run_index)
 
     event_states = None
     if config.events is not None:
-        baseline, _ = simulate_trajectory(config, components)
+        baseline = simulate_trajectory(config, components)
         event_states = tuple(
             EventState(
                 probability=config.events.probability,
@@ -249,28 +217,9 @@ def _execute(
         # the calibration pass consumed the live streams; rebuild them
         components = build_components(config, run_index)
 
-    state, trace = simulate_trajectory(config, components, event_states, record_trace)
+    state = simulate_trajectory(config, components, event_states)
     rho = pearson(state.main_returns(0), state.main_returns(1))
-    result = RunResult(
-        market=state,
-        correlation=rho,
-        run_index=run_index,
-        event_states=event_states,
-    )
-    return result, trace
-
-
-def run(config: ModelConfig, run_index: int) -> RunResult:
-    """Execute one full run and compute the return correlation."""
-    result, _ = _execute(config, run_index, record_trace=False)
-    return result
-
-
-def run_traced(config: ModelConfig, run_index: int) -> tuple[RunResult, SimulationTrace]:
-    """Like :func:`run` but also returns per-step internals for verification."""
-    result, trace = _execute(config, run_index, record_trace=True)
-    assert trace is not None
-    return result, trace
+    return RunResult(market=state, correlation=rho, run_index=run_index, event_states=event_states)
 
 
 @dataclass(frozen=True)

@@ -8,10 +8,11 @@ ones.
 """
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
-from mgmarket import seeding
+from mgmarket import UniformCoupling, seeding
 
 
 def select_slots_argmax(scores, rng):
@@ -97,71 +98,117 @@ def single_asset_demands(n_agents, memory, n_strategies, horizon, initial_price,
     return demands
 
 
+class TwoStockRun(NamedTuple):
+    """What :func:`two_stock_demands` saw in one run."""
+
+    demands: list  # per stock, the internal demand of every step, warm-up included
+    abort: tuple | None  # (stock, step) of the first non-positive price
+    zero_returns: int  # zero returns read into a state index
+    zero_expectations: int  # per-agent expectations that were exactly zero
+
+
 def two_stock_demands(config, run_index):
-    """Both stocks' internal demand series for homogeneous couplings."""
+    """Both stocks' internal demand series for any config.
+
+    Covers every config axis: homogeneous or per-agent uniform couplings,
+    holds, any number of slots and memory, own-return weights below one and
+    the event model.  With events on it first plays a calibration pass with
+    shocks off, sets each stock's shock amplitude to the strength times the
+    standard deviation of that pass's main-window internal demand, and then
+    plays again on fresh streams.  A run stops at the first non-positive
+    price and reports where.
+    """
     n, n_slots, m = config.n_agents, config.n_strategies, config.memory
     warm_steps, horizon = config.warmup_steps, config.horizon
     decision_values = list(config.decision_set)
     n_dec, n_rows = len(decision_values), 2 ** (m + 1)
-    a1, a2 = config.a
-    b = [np.full(n, config.coupling.b1), np.full(n, config.coupling.b2)]
 
-    tables, warm, tb = [], [], []
-    for stock in (1, 2):
-        g = seeding.stream(config.master_seed, run_index, f"strategies:{stock}")
-        raw = g.integers(0, n_dec, size=(n, n_slots, n_rows))
-        tables.append([[[decision_values[raw[i][s][k]] for k in range(n_rows)]
-                        for s in range(n_slots)] for i in range(n)])
-        g = seeding.stream(config.master_seed, run_index, f"warmup:{stock}")
-        raw_w = g.integers(0, n_dec, size=(warm_steps, n))
-        warm.append([[decision_values[raw_w[w][i]] for i in range(n)]
-                     for w in range(warm_steps)])
-        tb.append(seeding.stream(config.master_seed, run_index, f"tiebreak:{stock}"))
+    def stream(label):
+        return seeding.stream(config.master_seed, run_index, label)
 
-    prices = [config.initial_price, config.initial_price]
-    returns = [[], []]
-    demands = [[], []]
-    hist = [[], []]
-    scores = [[[0.0] * n_slots for _ in range(n)], [[0.0] * n_slots for _ in range(n)]]
+    def play(amplitudes):
+        coupling = config.coupling
+        if isinstance(coupling, UniformCoupling):
+            g = stream("couplings")
+            b = [g.uniform(coupling.c1 - coupling.delta1, coupling.c1 + coupling.delta1, n),
+                 g.uniform(coupling.c2 - coupling.delta2, coupling.c2 + coupling.delta2, n)]
+        else:
+            b = [[coupling.b1] * n, [coupling.b2] * n]
 
-    def advance(j, demand):
-        new_price = _step_price(prices[j], demand)
-        r = math.log(new_price) - math.log(prices[j])
-        prices[j] = new_price
-        returns[j].append(r)
-        demands[j].append(demand)
-        hist[j].append(1 if r >= 0 else 0)
+        tables, warm, tb, ev = [], [], [], []
+        for stock in (1, 2):
+            raw = stream(f"strategies:{stock}").integers(0, n_dec, size=(n, n_slots, n_rows))
+            tables.append([[[decision_values[raw[i][s][k]] for k in range(n_rows)]
+                            for s in range(n_slots)] for i in range(n)])
+            raw_w = stream(f"warmup:{stock}").integers(0, n_dec, size=(warm_steps, n))
+            warm.append([[decision_values[raw_w[w][i]] for i in range(n)]
+                         for w in range(warm_steps)])
+            tb.append(stream(f"tiebreak:{stock}"))
+            ev.append(stream(f"events:{stock}"))
 
-    for w in range(warm_steps):
-        for j in (0, 1):
-            advance(j, sum(warm[j][w]))
+        prices = [config.initial_price, config.initial_price]
+        returns = [[], []]
+        demands = [[], []]
+        scores = [[[0.0] * n_slots for _ in range(n)], [[0.0] * n_slots for _ in range(n)]]
+        zero_returns = zero_expectations = 0
 
-    for _t in range(horizon):
-        lag = (returns[0][-1], returns[1][-1])
-        staged = []
-        for j in (0, 1):
-            aj = a1 if j == 0 else a2
-            jitter = tb[j].random((n, n_slots))
-            played, rows = [], []
-            for i in range(n):
-                expected = aj * lag[j] + b[j][i] * lag[1 - j]
-                e_bit = 1 if expected >= 0 else 0
-                idx = 0
-                for bit in hist[j][-m:]:
-                    idx = idx * 2 + bit
-                idx = idx * 2 + e_bit
-                best = max(scores[j][i])
-                winners = [s for s in range(n_slots) if scores[j][i][s] == best]
-                slot = max(winners, key=lambda s: jitter[i][s])
-                row = [tables[j][i][s][idx] for s in range(n_slots)]
-                rows.append(row)
-                played.append(row[slot])
-            staged.append((played, rows))
-        for j in (0, 1):
-            played, rows = staged[j]
-            demand = sum(played)
-            advance(j, demand)
-            for i in range(n):
-                for s in range(n_slots):
-                    scores[j][i][s] -= demand * rows[i][s]
-    return demands
+        def advance(j, total):
+            """Move stock j's price; False when it would not stay positive."""
+            new_price = _step_price(prices[j], total)
+            if new_price <= 0:
+                return False
+            returns[j].append(math.log(new_price) - math.log(prices[j]))
+            prices[j] = new_price
+            return True
+
+        for w in range(warm_steps):
+            for j in (0, 1):
+                demand = sum(warm[j][w])
+                demands[j].append(demand)
+                if not advance(j, demand):
+                    return TwoStockRun(demands, (j + 1, w), zero_returns, zero_expectations)
+
+        for t in range(horizon):
+            lag = (returns[0][-1], returns[1][-1])
+            for j in (0, 1):
+                jitter = tb[j].random((n, n_slots))
+                # the last m returns, oldest in the highest bit; zero counts as plus
+                hist_idx = 0
+                for r in returns[j][-m:]:
+                    hist_idx = hist_idx * 2 + (1 if r >= 0 else 0)
+                    zero_returns += r == 0
+                played, rows = [], []
+                for i in range(n):
+                    expected = config.a[j] * lag[j] + b[j][i] * lag[1 - j]
+                    zero_expectations += expected == 0
+                    idx = hist_idx * 2 + (1 if expected >= 0 else 0)
+                    best = max(scores[j][i])
+                    winners = [s for s in range(n_slots) if scores[j][i][s] == best]
+                    slot = max(winners, key=lambda s: jitter[i][s])
+                    row = [tables[j][i][s][idx] for s in range(n_slots)]
+                    rows.append(row)
+                    played.append(row[slot])
+                demand = sum(played)
+                total = demand
+                if amplitudes is not None:
+                    # both draws every step, whether or not the shock fires
+                    fired = ev[j].random() < config.events.probability
+                    negative = ev[j].integers(0, 2) == 1
+                    shock = (-amplitudes[j] if negative else amplitudes[j]) if fired else 0.0
+                    total = demand + shock
+                demands[j].append(demand)
+                if not advance(j, total):
+                    return TwoStockRun(demands, (j + 1, warm_steps + t),
+                                       zero_returns, zero_expectations)
+                for i in range(n):
+                    for s in range(n_slots):
+                        scores[j][i][s] -= total * rows[i][s]
+        return TwoStockRun(demands, None, zero_returns, zero_expectations)
+
+    if config.events is None:
+        return play(None)
+    calibration = play(None)
+    if calibration.abort is not None:
+        return calibration
+    return play([config.events.strength * float(np.std(calibration.demands[j][warm_steps:]))
+                 for j in (0, 1)])

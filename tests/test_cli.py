@@ -112,6 +112,13 @@ def test_even_agent_count_is_usage_error():
     assert "odd" in outcome.message
 
 
+def test_horizon_one_is_usage_error():
+    # one recorded step has no return correlation; refused before any run
+    outcome = run_cli("simulate", *SMALL, "--horizon", "1")
+    assert outcome.exit_code == 1
+    assert outcome.message.startswith("config.validate: horizon must be at least 2")
+
+
 def test_runtime_error_exit_code():
     outcome = run_cli("simulate", *SMALL, "--initial-price", "4.0", "--horizon", "500")
     assert outcome.exit_code == 2
@@ -162,6 +169,12 @@ def test_sweep_bad_k_values_is_usage_error():
     outcome = run_cli("sweep", "--experiment", "events", *SMALL, "--k-values", "1,x")
     assert outcome.exit_code == 1
     assert "--k-values" in outcome.message
+
+
+def test_sweep_flag_of_unswept_axis_is_usage_error():
+    outcome = run_cli("sweep", "--experiment", "homogeneous", *SMALL, "--c1-min", "0")
+    assert outcome.exit_code == 1
+    assert outcome.message == "config.validate: --experiment homogeneous does not sweep --c1-min"
 
 
 @pytest.mark.parametrize(
@@ -290,6 +303,13 @@ def test_verify_appendix_small(capsys):
     assert outcome.exit_code == 0
     printed = capsys.readouterr().out
     assert "verify-appendix: all 64 cells agree" in printed
+
+
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_verify_appendix_nonpositive_samples_is_usage_error(samples):
+    outcome = run_cli("verify-appendix", "--samples", samples)
+    assert outcome.exit_code == 1
+    assert "--samples: expected a positive integer" in outcome.message
 
 
 def test_no_partial_files_on_abort(tmp_path):

@@ -55,7 +55,7 @@ def test_event_probability_bounds():
 
 @pytest.mark.parametrize(
     "field,value",
-    [("horizon", 0), ("n_strategies", 0), ("memory", 0), ("initial_price", 0.0),
+    [("horizon", 0), ("horizon", 1), ("n_strategies", 0), ("memory", 0), ("initial_price", 0.0),
      ("n_runs", 0), ("n_agents", -3)],
 )
 def test_nonpositive_sizes_rejected(field, value):

@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
 from dataclasses import replace
+from hypothesis import given, reject, settings, strategies as st
 
 from mgmarket import (
+    DegenerateSeriesError,
     EventModel,
     HomogeneousCoupling,
+    ModelConfig,
     NonPositivePriceError,
     UniformCoupling,
     run,
     run_many,
-    run_traced,
 )
 from mgmarket.engine import build_components, simulate_trajectory
 
@@ -65,45 +67,6 @@ def test_correlation_in_range_and_sample_count():
         assert len(x) == len(y) == small_config().horizon
 
 
-@pytest.mark.parametrize("events", [None, EventModel(probability=0.1, strength=2.0)])
-def test_score_replay_oracle(events):
-    cfg = small_config(n_agents=25, horizon=80, events=events)
-    result, trace = run_traced(cfg, 0)
-    for j in (0, 1):
-        demands = result.market.stocks[j].total_demand[result.market.warmup_steps :]
-        recomputed = np.zeros((cfg.n_agents, cfg.n_strategies))
-        for t in range(cfg.horizon):
-            recomputed -= demands[t] * trace.slot_decisions[j, t]
-        assert np.array_equal(recomputed, trace.final_scores[j])
-
-
-@pytest.mark.parametrize(
-    "overrides", [dict(), dict(memory=2, allow_hold=True)], ids=["m1", "m2_hold"]
-)
-def test_trace_states_match_series_recomputation(overrides):
-    cfg = small_config(n_agents=15, horizon=60, coupling=HomogeneousCoupling(0.3, -0.7), **overrides)
-    result, trace = run_traced(cfg, 1)
-    w, m = result.market.warmup_steps, cfg.memory
-    zero_returns = zero_expectations = 0
-    for j in (0, 1):
-        returns = result.market.stocks[j].returns
-        other = result.market.stocks[1 - j].returns
-        b = 0.3 if j == 0 else -0.7
-        for t in range(cfg.horizon):
-            # oldest lagged return in the highest bit, the expectation in the
-            # lowest; a zero return or expectation counts as plus
-            idx = 0
-            for lag in range(m, 0, -1):
-                idx = (idx << 1) | (1 if returns[w + t - lag] >= 0 else 0)
-                zero_returns += returns[w + t - lag] == 0
-            expected = cfg.a[j] * returns[w + t - 1] + b * other[w + t - 1]
-            idx = (idx << 1) | (1 if expected >= 0 else 0)
-            zero_expectations += expected == 0
-            assert np.all(trace.state_indices[j, t] == idx)
-    if cfg.allow_hold:  # the zero-counts-as-plus rule was exercised
-        assert zero_returns > 0 and zero_expectations > 0
-
-
 def test_decoupled_matches_single_asset_reference():
     cfg = small_config(coupling=HomogeneousCoupling(0.0, 0.0), n_agents=31, horizon=80)
     result = run(cfg, 0)
@@ -115,24 +78,95 @@ def test_decoupled_matches_single_asset_reference():
         assert result.market.stocks[j].internal_demand.tolist() == ref
 
 
+def _assert_engine_matches_oracle(cfg, run_index):
+    """Both stocks' internal demand agree bit for bit, or both runs abort at
+    the same stock and step."""
+    ref = two_stock_demands(cfg, run_index)
+    if ref.abort is not None:
+        with pytest.raises(NonPositivePriceError) as err:
+            run(cfg, run_index)
+        assert (err.value.stock, err.value.step) == ref.abort
+        return ref
+    result = run(cfg, run_index)
+    for j in (0, 1):
+        assert result.market.stocks[j].internal_demand.tolist() == ref.demands[j]
+    return ref
+
+
 @pytest.mark.parametrize("memory,b1,b2", [(1, 0.7, 0.3), (2, -0.6, 0.9)])
 def test_engine_matches_two_stock_reference(memory, b1, b2):
     cfg = small_config(n_agents=21, memory=memory, horizon=50,
                        coupling=HomogeneousCoupling(b1, b2))
-    result = run(cfg, 0)
-    ref = two_stock_demands(cfg, 0)
-    for j in (0, 1):
-        assert result.market.stocks[j].internal_demand.tolist() == ref[j]
+    _assert_engine_matches_oracle(cfg, 0)
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        dict(memory=3, n_strategies=4, a=(0.4, 1.0), coupling=UniformCoupling(0.2, 0.8, -0.3, 0.5),
+             events=EventModel(0.2, 3.0)),
+        dict(memory=2, n_strategies=3, allow_hold=True, a=(1.0, 0.6),
+             coupling=UniformCoupling(-0.4, 0.5, 0.1, 1.0)),
+        dict(n_agents=9, horizon=30, n_strategies=1, a=(0.7, 0.2), allow_hold=True,
+             events=EventModel(0.5, 2.0)),
+        dict(initial_price=3.0, n_strategies=3),
+        dict(initial_price=12.0, events=EventModel(0.5, 4.0)),
+    ],
+    ids=["uniform_events_m3_s4", "uniform_hold_m2_s3", "hold_events_s1", "abort", "abort_events"],
+)
+def test_engine_matches_oracle_across_axes(overrides):
+    _assert_engine_matches_oracle(small_config(**{"n_agents": 21, "horizon": 40, **overrides}), 1)
+
+
+def test_oracle_meets_zero_returns_and_expectations():
+    # holds make a zero demand, so a zero return and, when both stocks' lags
+    # are zero, a zero expectation: both count as plus in the state index
+    cfg = small_config(n_agents=15, horizon=60, memory=2, allow_hold=True,
+                       coupling=HomogeneousCoupling(0.3, -0.7))
+    ref = _assert_engine_matches_oracle(cfg, 1)
+    assert ref.abort is None
+    assert ref.zero_returns > 0 and ref.zero_expectations > 0
+
+
+@st.composite
+def _oracle_configs(draw):
+    unit, a = st.floats(-1.0, 1.0), st.floats(0.0, 1.0, exclude_min=True)
+    return ModelConfig(
+        n_agents=draw(st.integers(0, 10)) * 2 + 1,
+        memory=draw(st.integers(1, 3)),
+        n_strategies=draw(st.integers(1, 4)),
+        horizon=draw(st.integers(2, 40)),
+        initial_price=draw(st.sampled_from([10.0, 2000.0])),
+        a=(draw(a), draw(a)),
+        coupling=draw(
+            st.builds(HomogeneousCoupling, unit, unit)
+            | st.builds(UniformCoupling, unit, st.floats(0.0, 1.0), unit, st.floats(0.0, 1.0))
+        ),
+        allow_hold=draw(st.booleans()),
+        events=draw(st.none() | st.builds(EventModel, st.floats(0.0, 1.0), st.floats(0.0, 5.0))),
+        master_seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(cfg=_oracle_configs(), run_index=st.integers(0, 3))
+def test_engine_matches_oracle_on_any_config(cfg, run_index):
+    try:
+        _assert_engine_matches_oracle(cfg, run_index)
+    except DegenerateSeriesError:
+        # a constant return series (a run stuck at zero demand) has no
+        # correlation, so run raises before its series can be compared
+        reject()
 
 
 def test_holding_tables_without_zeros_reduce_to_binary_engine():
     base = small_config(n_agents=31, horizon=60)
     comps = build_components(base, 0)
-    state_binary, _ = simulate_trajectory(base, comps)
+    state_binary = simulate_trajectory(base, comps)
 
     hold_cfg = replace(base, allow_hold=True)
     comps_again = build_components(base, 0)  # same +/-1 tables and warm-up draws
-    state_hold, _ = simulate_trajectory(hold_cfg, comps_again)
+    state_hold = simulate_trajectory(hold_cfg, comps_again)
     for j in (0, 1):
         assert np.array_equal(
             state_binary.stocks[j].internal_demand, state_hold.stocks[j].internal_demand

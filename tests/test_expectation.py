@@ -1,7 +1,6 @@
 import numpy as np
 
-from mgmarket import HomogeneousCoupling, UniformCoupling, run, run_traced
-from mgmarket.engine import build_components
+from mgmarket import HomogeneousCoupling, UniformCoupling, run
 from mgmarket.expectation import sample_couplings
 
 from conftest import small_config
@@ -22,21 +21,6 @@ def test_zero_coupling_decouples():
     market = run(cfg, 0).market
     for j in (0, 1):
         assert market.stocks[j].mean_expectation.tolist() == (cfg.a[j] * market.main_returns(j)).tolist()
-
-
-def test_expected_return_broadcasts_over_agents():
-    # with per-agent couplings each agent's expectation bit (the low bit of
-    # its state index) is the sign of a * own lag + its own b * other lag
-    cfg = small_config(n_agents=25, horizon=40, coupling=UniformCoupling(0.0, 1.0, 0.2, 0.8))
-    result, trace = run_traced(cfg, 0)
-    couplings = build_components(cfg, 0).couplings
-    assert len(np.unique(couplings.b1)) == cfg.n_agents
-    market, w = result.market, result.market.warmup_steps
-    for j, b in ((0, couplings.b1), (1, couplings.b2)):
-        own, other = market.stocks[j].returns, market.stocks[1 - j].returns
-        for t in range(cfg.horizon):
-            expected = b * other[w + t - 1] + cfg.a[j] * own[w + t - 1]
-            assert np.array_equal(trace.state_indices[j, t] & 1, expected >= 0)
 
 
 def test_homogeneous_coupling_constant(rng):
