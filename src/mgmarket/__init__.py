@@ -35,7 +35,7 @@ from .analytic import (
     predict_correlation_sign,
     verify_appendix,
 )
-from .stats import Ar1Report, RegressionReport, ar1, ar1_pooled, ols, pearson, spearman
+from .stats import Ar1Report, RegressionReport, ar1, ar1_pooled, ols, pearson
 from .sweep import (
     SweepGrid,
     sweep_centers,
@@ -72,7 +72,6 @@ __all__ = [
     "predict_correlation_sign",
     "run",
     "run_many",
-    "spearman",
     "sweep_centers",
     "sweep_events",
     "sweep_homogeneous",

@@ -70,10 +70,9 @@ class IntervalCondition:
 @dataclass(frozen=True)
 class Trend:
     """Direction of the feasibility probability as a weight approaches its
-    regime limit; ``parameter`` is "b1", "b2" or "both"."""
+    regime limit, +1 or -1; ``parameter`` is "b1", "b2" or "both"."""
 
     parameter: str
-    limit: float
     direction: str  # "increasing" or "decreasing"
 
 
@@ -85,11 +84,11 @@ class FeasibilityVerdict:
 
 
 def _bounded(variable: str, lower: Optional[str], upper: Optional[str],
-             parameter: str, limit: float, direction: str) -> FeasibilityVerdict:
+             parameter: str, direction: str) -> FeasibilityVerdict:
     return FeasibilityVerdict(
         feasible=True,
         condition=IntervalCondition(variable, lower, upper),
-        probability_trend=Trend(parameter, limit, direction),
+        probability_trend=Trend(parameter, direction),
     )
 
 
@@ -106,61 +105,61 @@ CASE_TABLE: dict[tuple[str, Quadrant], dict[Quadrant, FeasibilityVerdict]] = {
     ("I", (1, 1)): _case_block({(1, 1): FeasibilityVerdict(feasible=True)}),
     ("I", (-1, -1)): _case_block({(-1, -1): FeasibilityVerdict(feasible=True)}),
     ("I", (1, -1)): _case_block({
-        (1, 1): _bounded("dr1", "-dr2/b2", None, "b2", 1.0, "increasing"),
-        (1, -1): _bounded("dr1", "-b1*dr2", "-dr2/b2", "both", 1.0, "decreasing"),
-        (-1, -1): _bounded("dr1", None, "-b1*dr2", "b1", 1.0, "increasing"),
+        (1, 1): _bounded("dr1", "-dr2/b2", None, "b2", "increasing"),
+        (1, -1): _bounded("dr1", "-b1*dr2", "-dr2/b2", "both", "decreasing"),
+        (-1, -1): _bounded("dr1", None, "-b1*dr2", "b1", "increasing"),
     }),
     ("I", (-1, 1)): _case_block({
-        (1, 1): _bounded("dr1", "-b1*dr2", None, "b1", 1.0, "increasing"),
-        (-1, 1): _bounded("dr1", "-dr2/b2", "-b1*dr2", "both", 1.0, "decreasing"),
-        (-1, -1): _bounded("dr1", None, "-dr2/b2", "b2", 1.0, "increasing"),
+        (1, 1): _bounded("dr1", "-b1*dr2", None, "b1", "increasing"),
+        (-1, 1): _bounded("dr1", "-dr2/b2", "-b1*dr2", "both", "decreasing"),
+        (-1, -1): _bounded("dr1", None, "-dr2/b2", "b2", "increasing"),
     }),
     # --- regime II: both couplings negative -------------------------------
     ("II", (1, 1)): _case_block({
-        (1, 1): _bounded("dr1", "-b1*dr2", "-dr2/b2", "both", -1.0, "decreasing"),
-        (1, -1): _bounded("dr1", "-dr2/b2", None, "b2", -1.0, "increasing"),
-        (-1, 1): _bounded("dr1", None, "-b1*dr2", "b1", -1.0, "increasing"),
+        (1, 1): _bounded("dr1", "-b1*dr2", "-dr2/b2", "both", "decreasing"),
+        (1, -1): _bounded("dr1", "-dr2/b2", None, "b2", "increasing"),
+        (-1, 1): _bounded("dr1", None, "-b1*dr2", "b1", "increasing"),
     }),
     ("II", (-1, -1)): _case_block({
-        (-1, -1): _bounded("dr1", "-dr2/b2", "-b1*dr2", "both", -1.0, "decreasing"),
-        (-1, 1): _bounded("dr1", None, "-dr2/b2", "b2", -1.0, "increasing"),
-        (1, -1): _bounded("dr1", "-b1*dr2", None, "b1", -1.0, "increasing"),
+        (-1, -1): _bounded("dr1", "-dr2/b2", "-b1*dr2", "both", "decreasing"),
+        (-1, 1): _bounded("dr1", None, "-dr2/b2", "b2", "increasing"),
+        (1, -1): _bounded("dr1", "-b1*dr2", None, "b1", "increasing"),
     }),
     ("II", (1, -1)): _case_block({(1, -1): FeasibilityVerdict(feasible=True)}),
     ("II", (-1, 1)): _case_block({(-1, 1): FeasibilityVerdict(feasible=True)}),
     # --- regime III: b1 positive, b2 negative ------------------------------
     ("III", (1, 1)): _case_block({
-        (1, 1): _bounded("dr2", "-b2*dr1", None, "b2", -1.0, "decreasing"),
-        (1, -1): _bounded("dr2", None, "-b2*dr1", "b2", -1.0, "increasing"),
+        (1, 1): _bounded("dr2", "-b2*dr1", None, "b2", "decreasing"),
+        (1, -1): _bounded("dr2", None, "-b2*dr1", "b2", "increasing"),
     }),
     ("III", (-1, -1)): _case_block({
-        (-1, -1): _bounded("dr2", None, "-b2*dr1", "b2", -1.0, "decreasing"),
-        (-1, 1): _bounded("dr2", "-b2*dr1", None, "b2", -1.0, "increasing"),
+        (-1, -1): _bounded("dr2", None, "-b2*dr1", "b2", "decreasing"),
+        (-1, 1): _bounded("dr2", "-b2*dr1", None, "b2", "increasing"),
     }),
     ("III", (1, -1)): _case_block({
-        (-1, -1): _bounded("dr2", None, "-dr1/b1", "b1", 1.0, "increasing"),
-        (1, -1): _bounded("dr2", "-dr1/b1", None, "b1", 1.0, "decreasing"),
+        (-1, -1): _bounded("dr2", None, "-dr1/b1", "b1", "increasing"),
+        (1, -1): _bounded("dr2", "-dr1/b1", None, "b1", "decreasing"),
     }),
     ("III", (-1, 1)): _case_block({
-        (1, 1): _bounded("dr2", "-dr1/b1", None, "b1", 1.0, "increasing"),
-        (-1, 1): _bounded("dr2", None, "-dr1/b1", "b1", 1.0, "decreasing"),
+        (1, 1): _bounded("dr2", "-dr1/b1", None, "b1", "increasing"),
+        (-1, 1): _bounded("dr2", None, "-dr1/b1", "b1", "decreasing"),
     }),
     # --- regime IV: b1 negative, b2 positive ------------------------------
     ("IV", (1, 1)): _case_block({
-        (1, 1): _bounded("dr1", "-b1*dr2", None, "b1", -1.0, "decreasing"),
-        (-1, 1): _bounded("dr1", None, "-b1*dr2", "b1", -1.0, "increasing"),
+        (1, 1): _bounded("dr1", "-b1*dr2", None, "b1", "decreasing"),
+        (-1, 1): _bounded("dr1", None, "-b1*dr2", "b1", "increasing"),
     }),
     ("IV", (-1, -1)): _case_block({
-        (-1, -1): _bounded("dr1", None, "-b1*dr2", "b1", -1.0, "decreasing"),
-        (1, -1): _bounded("dr1", "-b1*dr2", None, "b1", -1.0, "increasing"),
+        (-1, -1): _bounded("dr1", None, "-b1*dr2", "b1", "decreasing"),
+        (1, -1): _bounded("dr1", "-b1*dr2", None, "b1", "increasing"),
     }),
     ("IV", (1, -1)): _case_block({
-        (1, 1): _bounded("dr1", "-dr2/b2", None, "b2", 1.0, "increasing"),
-        (1, -1): _bounded("dr1", None, "-dr2/b2", "b2", 1.0, "decreasing"),
+        (1, 1): _bounded("dr1", "-dr2/b2", None, "b2", "increasing"),
+        (1, -1): _bounded("dr1", None, "-dr2/b2", "b2", "decreasing"),
     }),
     ("IV", (-1, 1)): _case_block({
-        (-1, -1): _bounded("dr1", None, "-dr2/b2", "b2", 1.0, "increasing"),
-        (-1, 1): _bounded("dr1", "-dr2/b2", None, "b2", 1.0, "decreasing"),
+        (-1, -1): _bounded("dr1", None, "-dr2/b2", "b2", "increasing"),
+        (-1, 1): _bounded("dr1", "-dr2/b2", None, "b2", "decreasing"),
     }),
 }
 

@@ -25,10 +25,10 @@ import numpy as np
 
 from . import analytic, engine, market, stats, sweep
 from .config import (
-    _FLOAT_KEYS,
     _HOMOGENEOUS_KEYS,
-    _INT_KEYS,
+    _KEYS,
     _UNIFORM_KEYS,
+    DEFAULT_UNIFORM,
     ModelConfig,
     UniformCoupling,
     _items,
@@ -39,7 +39,7 @@ from .config import (
 from .errors import ConfigError, DegenerateSeriesError, NonPositivePriceError
 
 CONFIG_ENV_VAR = "MGMARKET_CONFIG"
-_OVERRIDE_KEYS = _INT_KEYS | _FLOAT_KEYS | {"allow_hold"}
+_OVERRIDE_KEYS = _KEYS.keys() - {"coupling"}
 
 
 @dataclass(frozen=True)
@@ -238,11 +238,18 @@ def _cmd_sweep(args) -> CommandOutcome:
     ]
     if unswept:
         raise ConfigError(f"--experiment {args.experiment} does not sweep {', '.join(unswept)}")
+    # an events sweep takes its strengths from --k-values; other sweeps run unshocked
+    shock_flags = {"--event-k": args.event_strength}
+    if args.experiment != "events":
+        shock_flags.update({"--k-values": args.k_values, "--event-p": args.event_probability})
+    refused = [flag for flag, value in shock_flags.items() if value is not None]
+    if refused:
+        raise ConfigError(f"--experiment {args.experiment} does not take {', '.join(refused)}")
     if args.experiment == "holding":
         config = replace(config, allow_hold=True)
     elif args.experiment in ("centers", "ranges"):
         if not isinstance(config.coupling, UniformCoupling):
-            config = replace(config, coupling=UniformCoupling(0.0, 1.0, 0.0, 1.0))
+            config = replace(config, coupling=DEFAULT_UNIFORM)
     kwargs = {f"{flag}_values": _axis_from_flags(args, flag, default_axis()) for flag in axis_flags}
     if args.experiment == "events":
         kwargs["probability"] = args.event_probability

@@ -10,7 +10,7 @@ one parameter per line, which round-trips bit-exactly (floats are written with
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Union
 
 from .errors import CoefficientOutOfRangeError, ConfigError, EvenAgentCountError
@@ -128,48 +128,37 @@ def validate(config: ModelConfig) -> ModelConfig:
 # --- flat key = value config format ---------------------------------------
 
 _BOOL_WORDS = {"true": True, "false": False}
-_INT_KEYS = {"n_agents", "memory", "n_strategies", "horizon", "n_runs", "master_seed"}
+# every key of the format with its value type, in file order
+_KEYS = {
+    "n_agents": int, "memory": int, "n_strategies": int, "horizon": int,
+    "initial_price": float, "a1": float, "a2": float, "coupling": str,
+    "b1": float, "b2": float, "c1": float, "delta1": float, "c2": float, "delta2": float,
+    "allow_hold": bool, "event_probability": float, "event_strength": float,
+    "n_runs": int, "master_seed": int,
+}
 _HOMOGENEOUS_KEYS = {"b1", "b2"}
 _UNIFORM_KEYS = {"c1", "delta1", "c2", "delta2"}
-_FLOAT_KEYS = {
-    "initial_price", "a1", "a2", *_HOMOGENEOUS_KEYS, *_UNIFORM_KEYS,
-    "event_probability", "event_strength",
-}
+# the template of a uniform coupling whose keys are not all given
+DEFAULT_UNIFORM = UniformCoupling(0.0, 1.0, 0.0, 1.0)
 
 
 def _items(config: ModelConfig) -> list[tuple[str, object]]:
     """Every field of ``config`` as (key, value) pairs, in file-format order."""
     c = config.coupling
-    if isinstance(c, HomogeneousCoupling):
-        coupling = [("coupling", "homogeneous"), ("b1", c.b1), ("b2", c.b2)]
-    else:
-        coupling = [
-            ("coupling", "uniform"), ("c1", c.c1), ("delta1", c.delta1),
-            ("c2", c.c2), ("delta2", c.delta2),
-        ]
-    events = []
-    if config.events is not None:
-        events = [
-            ("event_probability", config.events.probability),
-            ("event_strength", config.events.strength),
-        ]
-    return [
-        ("n_agents", config.n_agents), ("memory", config.memory),
-        ("n_strategies", config.n_strategies), ("horizon", config.horizon),
-        ("initial_price", config.initial_price), ("a1", config.a[0]), ("a2", config.a[1]),
-        *coupling, ("allow_hold", config.allow_hold), *events,
-        ("n_runs", config.n_runs), ("master_seed", config.master_seed),
-    ]
+    values = {**vars(config), **vars(c), "a1": config.a[0], "a2": config.a[1]}
+    values["coupling"] = "homogeneous" if isinstance(c, HomogeneousCoupling) else "uniform"
+    if (e := config.events) is not None:
+        values.update(event_probability=e.probability, event_strength=e.strength)
+    return [(key, values[key]) for key in _KEYS if key in values]
 
 
 def to_text(config: ModelConfig) -> str:
     """Serialize to the flat config format (all fields, one per line)."""
-    lines = []
-    for key, value in _items(config):
-        if key == "allow_hold":
-            value = "true" if value else "false"
-        lines.append(f"{key} = {value!r}" if key in _FLOAT_KEYS else f"{key} = {value}")
-    return "\n".join(lines) + "\n"
+    # floats by repr, so they round-trip; allow_hold as true/false
+    return "".join(
+        f"{key} = {value!r}\n" if _KEYS[key] is float else f"{key} = {str(value).lower()}\n"
+        for key, value in _items(config)
+    )
 
 
 def parse_items(text: str) -> dict[str, object]:
@@ -188,22 +177,23 @@ def parse_items(text: str) -> dict[str, object]:
         key, value = key.strip(), value.strip()
         if key in items:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        if key in _INT_KEYS or key in _FLOAT_KEYS:
-            kind, what = (int, "an integer") if key in _INT_KEYS else (float, "a number")
-            try:
-                items[key] = kind(value)
-            except ValueError:
-                raise ConfigError(f"line {lineno}: {key} must be {what}, got {value!r}") from None
-        elif key == "allow_hold":
+        kind = _KEYS.get(key)
+        if kind is None:
+            raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        if kind is bool:
             if value.lower() not in _BOOL_WORDS:
                 raise ConfigError(f"line {lineno}: allow_hold must be true or false")
             items[key] = _BOOL_WORDS[value.lower()]
-        elif key == "coupling":
+        elif kind is str:
             if value not in ("homogeneous", "uniform"):
                 raise ConfigError(f"line {lineno}: coupling must be homogeneous or uniform")
             items[key] = value
         else:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
+            try:
+                items[key] = kind(value)
+            except ValueError:
+                what = "an integer" if kind is int else "a number"
+                raise ConfigError(f"line {lineno}: {key} must be {what}, got {value!r}") from None
     return items
 
 
@@ -222,18 +212,8 @@ def from_items(items: dict[str, object]) -> ModelConfig:
     bad = uni_given if kind == "homogeneous" else hom_given
     if bad:
         raise ConfigError(f"keys {sorted(bad)} do not belong to {kind} coupling")
-    if kind == "homogeneous":
-        base = defaults.coupling
-        coupling: Coupling = HomogeneousCoupling(
-            b1=float(items.pop("b1", base.b1)), b2=float(items.pop("b2", base.b2))
-        )
-    else:
-        coupling = UniformCoupling(
-            c1=float(items.pop("c1", 0.0)),
-            delta1=float(items.pop("delta1", 1.0)),
-            c2=float(items.pop("c2", 0.0)),
-            delta2=float(items.pop("delta2", 1.0)),
-        )
+    template = defaults.coupling if kind == "homogeneous" else DEFAULT_UNIFORM
+    coupling = replace(template, **{k: float(items.pop(k)) for k in hom_given | uni_given})
 
     events = None
     if "event_probability" in items or "event_strength" in items:
@@ -241,23 +221,12 @@ def from_items(items: dict[str, object]) -> ModelConfig:
             probability=float(items.pop("event_probability", 0.0)),
             strength=float(items.pop("event_strength", 0.0)),
         )
-
-    config = ModelConfig(
-        n_agents=int(items.pop("n_agents", defaults.n_agents)),
-        memory=int(items.pop("memory", defaults.memory)),
-        n_strategies=int(items.pop("n_strategies", defaults.n_strategies)),
-        horizon=int(items.pop("horizon", defaults.horizon)),
-        initial_price=float(items.pop("initial_price", defaults.initial_price)),
-        a=(float(items.pop("a1", defaults.a[0])), float(items.pop("a2", defaults.a[1]))),
-        coupling=coupling,
-        allow_hold=bool(items.pop("allow_hold", defaults.allow_hold)),
-        events=events,
-        n_runs=int(items.pop("n_runs", defaults.n_runs)),
-        master_seed=int(items.pop("master_seed", defaults.master_seed)),
-    )
+    a = tuple(float(items.pop(key, default)) for key, default in zip(("a1", "a2"), defaults.a))
+    fields = _KEYS.keys() & vars(defaults).keys()
+    scalars = {k: _KEYS[k](items.pop(k)) for k in fields & items.keys()}
     if items:
         raise ConfigError(f"unused keys {sorted(items)}")
-    return validate(config)
+    return validate(replace(defaults, **scalars, a=a, coupling=coupling, events=events))
 
 
 def from_text(text: str) -> ModelConfig:

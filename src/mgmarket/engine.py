@@ -105,7 +105,6 @@ def simulate_trajectory(
     returns = [np.empty(total_steps) for _ in range(2)]
     internal = [np.empty(total_steps, dtype=np.int64) for _ in range(2)]
     total = [np.empty(total_steps) for _ in range(2)]
-    re_mean = [np.empty(horizon) for _ in range(2)]
 
     prev_price = [config.initial_price, config.initial_price]
     last_return = [0.0, 0.0]
@@ -165,22 +164,20 @@ def simulate_trajectory(
             a_total = advance(j, step, a_int, a_ext)
             scoring.update_scores(stock_scores[j], decisions, a_total)
 
-        # record the population-mean expectation standing after this step's
-        # returns, i.e. the forecast agents carry into the next step
-        for j in (0, 1):
-            re_mean[j][t] = a_own[j] * last_return[j] + mean_b[j] * last_return[1 - j]
-
+    # the population-mean expectation standing after each step's returns,
+    # i.e. the forecast agents carry into the next step
+    recorded = [returns[j][warm:] for j in (0, 1)]
     stocks = tuple(
         StockSeries(
             prices=prices[j],
             returns=returns[j],
             internal_demand=internal[j],
-            total_demand=total[j] if event_states is not None else internal[j].copy(),
-            mean_expectation=re_mean[j],
+            total_demand=total[j],
+            mean_expectation=a_own[j] * recorded[j] + mean_b[j] * recorded[1 - j],
         )
         for j in (0, 1)
     )
-    return MarketState(initial_price=config.initial_price, warmup_steps=warm, stocks=stocks)
+    return MarketState(warmup_steps=warm, stocks=stocks)
 
 
 @dataclass(frozen=True)

@@ -90,7 +90,6 @@ class StockSeries:
 
 @dataclass(frozen=True)
 class MarketState:
-    initial_price: float
     warmup_steps: int
     stocks: tuple[StockSeries, StockSeries]
 

@@ -1,5 +1,5 @@
-"""Series statistics: Pearson correlation, simple OLS, rank correlation, and
-first-order autoregression.
+"""Series statistics: Pearson correlation, simple OLS, and first-order
+autoregression.
 
 Everything operates on in-memory float arrays and is pure.  OLS p-values use
 a normal approximation to the slope t-statistic; every use in this project
@@ -98,17 +98,3 @@ def ar1_pooled(series_list: Sequence[np.ndarray]) -> Ar1Report:
     report = ols(np.concatenate([r[:-1] for r in runs]), np.concatenate([r[1:] for r in runs]))
     return Ar1Report(phi=report.beta1, n=report.n)
 
-
-def _average_ranks(v: np.ndarray) -> np.ndarray:
-    order = np.argsort(v, kind="mergesort")
-    ranks = np.empty(len(v))
-    ranks[order] = np.arange(1, len(v) + 1)
-    _, inverse, counts = np.unique(v, return_inverse=True, return_counts=True)
-    sums = np.bincount(inverse, weights=ranks)
-    return (sums / counts)[inverse]
-
-
-def spearman(x, y) -> float:
-    """Rank correlation with average ranks for ties."""
-    x, y = _as_pair(x, y)
-    return pearson(_average_ranks(x), _average_ranks(y))

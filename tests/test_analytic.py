@@ -52,7 +52,6 @@ def test_classify_mixed_regime_example():
     assert verdict.condition.variable == "dr2"
     assert verdict.condition.lower == "-b2*dr1"
     assert verdict.probability_trend.parameter == "b2"
-    assert verdict.probability_trend.limit == -1.0
     assert verdict.probability_trend.direction == "decreasing"
 
 

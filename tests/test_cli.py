@@ -177,6 +177,26 @@ def test_sweep_flag_of_unswept_axis_is_usage_error():
     assert outcome.message == "config.validate: --experiment homogeneous does not sweep --c1-min"
 
 
+POINT = ["--b1-min", "0.5", "--b1-max", "0.5", "--b1-step", "1",
+         "--b2-min", "0.5", "--b2-max", "0.5", "--b2-step", "1"]
+
+
+@pytest.mark.parametrize(
+    "experiment,flags,refused",
+    [
+        ("homogeneous", ["--k-values", "1,2"], "--k-values"),
+        ("holding", ["--event-p", "0.5"], "--event-p"),
+        ("homogeneous", ["--event-p", "0.5", "--event-k", "3"], "--event-k, --event-p"),
+        ("events", ["--k-values", "1", "--event-k", "9"], "--event-k"),
+    ],
+    ids=["k-values", "event-p", "event-p-and-k", "events-event-k"],
+)
+def test_sweep_shock_flag_it_does_not_read_is_usage_error(experiment, flags, refused):
+    outcome = run_cli("sweep", "--experiment", experiment, *SMALL, *POINT, *flags)
+    assert outcome.exit_code == 1
+    assert outcome.message == f"config.validate: --experiment {experiment} does not take {refused}"
+
+
 @pytest.mark.parametrize(
     "experiment,axis,values",
     [("centers", "c1", {-0.5, 0.5}), ("ranges", "delta1", {1.0, 2.0})],

@@ -77,6 +77,20 @@ def test_round_trip_uniform_with_events():
     assert from_text(to_text(cfg)) == cfg
 
 
+def test_text_of_uniform_config_with_events_and_holds():
+    cfg = ModelConfig(
+        n_agents=101, a=(1.0, 0.3), coupling=UniformCoupling(0.4, 0.2, -0.3, 1.0),
+        allow_hold=True, events=EventModel(probability=0.0082, strength=3.0),
+    )
+    assert to_text(cfg) == (
+        "n_agents = 101\nmemory = 1\nn_strategies = 2\nhorizon = 1000\n"
+        "initial_price = 2000.0\na1 = 1.0\na2 = 0.3\n"
+        "coupling = uniform\nc1 = 0.4\ndelta1 = 0.2\nc2 = -0.3\ndelta2 = 1.0\n"
+        "allow_hold = true\nevent_probability = 0.0082\nevent_strength = 3.0\n"
+        "n_runs = 50\nmaster_seed = 20170918\n"
+    )
+
+
 @given(
     b1=st.floats(-2, 2, allow_nan=False),
     b2=st.floats(-2, 2, allow_nan=False),

@@ -52,10 +52,11 @@ def test_demand_parity_without_holds():
 
 
 def test_price_return_reconstruction():
-    result = run(small_config(horizon=200), 1)
+    cfg = small_config(horizon=200)
+    result = run(cfg, 1)
     for j in (0, 1):
         series = result.market.stocks[j]
-        rebuilt = result.market.initial_price * np.exp(np.cumsum(series.returns))
+        rebuilt = cfg.initial_price * np.exp(np.cumsum(series.returns))
         assert np.allclose(rebuilt, series.prices, rtol=1e-9)
 
 
@@ -76,6 +77,31 @@ def test_decoupled_matches_single_asset_reference():
             cfg.initial_price, cfg.a[j], cfg.master_seed, 0, stock,
         )
         assert result.market.stocks[j].internal_demand.tolist() == ref
+
+
+@pytest.mark.parametrize(
+    "memory,in_bounds",
+    [
+        (1, lambda v: v > 5),  # alpha = 0.020: crowded, herding phase
+        (6, lambda v: v < 0.5),  # alpha = 0.63: near the minimum of the curve
+        (11, lambda v: 0.7 <= v <= 1.3),  # alpha = 20: close to random agents
+    ],
+    ids=["m1", "m6", "m11"],
+)
+def test_decoupled_volatility_follows_standard_minority_game(memory, in_bounds):
+    # at b1 = b2 = 0 each stock is a standard minority game with
+    # alpha = 2^m / N, whose sigma^2 / N falls as 1/alpha in the crowded
+    # phase, dips well under 1, then rises toward the random-agent value 1
+    n = 101
+    volatilities = []
+    for seed in (1, 2, 3, 4):
+        cfg = ModelConfig(n_agents=n, memory=memory, horizon=2000,
+                          coupling=HomogeneousCoupling(0.0, 0.0), master_seed=seed)
+        state = run(cfg, 0).market
+        for series in state.stocks:
+            demand = series.internal_demand[state.warmup_steps + 500 :]
+            volatilities.append(float(np.var(demand)) / n)
+    assert all(in_bounds(v) for v in volatilities), volatilities
 
 
 def _assert_engine_matches_oracle(cfg, run_index):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mgmarket import DegenerateSeriesError
-from mgmarket.stats import ar1, ar1_pooled, ols, pearson, spearman
+from mgmarket.stats import ar1, ar1_pooled, ols, pearson
 
 
 def test_pearson_perfect_correlation():
@@ -120,14 +120,3 @@ def test_ar1_refuses_constant_and_too_short_series():
     with pytest.raises(DegenerateSeriesError):
         ar1([0.01, -0.02, 0.03])
     assert ar1([0.01, -0.02, 0.03, -0.01]).n == 3
-
-
-def test_spearman_monotone_map():
-    x = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
-    y = np.exp(x)
-    assert spearman(x, y) == pytest.approx(1.0)
-    assert spearman(x, -y) == pytest.approx(-1.0)
-
-
-def test_spearman_with_ties():
-    assert spearman([1, 1, 2, 3], [1, 1, 2, 3]) == pytest.approx(1.0)
