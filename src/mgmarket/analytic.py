@@ -8,10 +8,11 @@ where (dx, dy) are the previous changes of the two returns.  For each sign
 regime of (b1, b2) and each sign quadrant of (dx, dy), only certain sign
 quadrants of (du, dv) are reachable, and the reachable ones are governed by
 interval constraints whose width shifts as the coupling weights move toward
-their limits.  The verdict table below hard-codes the full case analysis:
-4 regimes x 4 input quadrants x 4 output quadrants.  ``verify_appendix``
-validates every entry against uniform sampling over the signed unit box,
-where an interval's length is proportional to its probability.
+their limits.  The verdict table below hard-codes the case analysis: it lists
+the 32 reachable cells of the 4 regimes x 4 input quadrants x 4 output
+quadrants, and every other cell is infeasible.  ``verify_appendix`` validates
+all 64 cells against uniform sampling over the signed unit box, where an
+interval's length is proportional to its probability.
 
 Regimes: I both weights in (0,1); II both in (-1,0); III b1 in (0,1) and
 b2 in (-1,0); IV b1 in (-1,0) and b2 in (0,1).
@@ -19,6 +20,7 @@ b2 in (-1,0); IV b1 in (-1,0) and b2 in (0,1).
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Optional
@@ -48,119 +50,72 @@ _BOUNDS = {
 
 
 @dataclass(frozen=True)
-class IntervalCondition:
-    """Strict interval constraint on one return change, e.g.
-    ``-b1*dr2 < dr1 < -dr2/b2``."""
+class FeasibilityVerdict:
+    """One sign case.  A bounded case holds on ``lower < variable < upper``
+    (a missing bound is open), and its probability moves in ``direction`` as
+    the weight ``trend`` ("b1", "b2" or "both") nears its regime limit.  A
+    feasible case with no variable is reached with probability one."""
 
-    variable: str  # "dr1" or "dr2"
-    lower: Optional[str]
-    upper: Optional[str]
+    feasible: bool
+    variable: Optional[str] = None  # "dr1" or "dr2"
+    lower: Optional[str] = None
+    upper: Optional[str] = None
+    trend: Optional[str] = None
+    direction: Optional[str] = None
 
     def holds(self, b: tuple[float, float], dx, dy):
-        """Vectorized membership test over sampled (dx, dy)."""
-        value = dx if self.variable == "dr1" else dy
-        ok = np.ones(np.shape(value), dtype=bool)
-        if self.lower is not None:
-            ok &= value > _BOUNDS[self.lower](b, dx, dy)
-        if self.upper is not None:
-            ok &= value < _BOUNDS[self.upper](b, dx, dy)
+        """Vectorized predicted membership of sampled (dx, dy) in the case."""
+        ok = np.full(np.shape(dx), self.feasible)
+        if self.variable is not None:
+            value = dx if self.variable == "dr1" else dy
+            if self.lower is not None:
+                ok &= value > _BOUNDS[self.lower](b, dx, dy)
+            if self.upper is not None:
+                ok &= value < _BOUNDS[self.upper](b, dx, dy)
         return ok
 
 
-@dataclass(frozen=True)
-class Trend:
-    """Direction of the feasibility probability as a weight approaches its
-    regime limit, +1 or -1; ``parameter`` is "b1", "b2" or "both"."""
+_bounded = functools.partial(FeasibilityVerdict, True)
 
-    parameter: str
-    direction: str  # "increasing" or "decreasing"
-
-
-@dataclass(frozen=True)
-class FeasibilityVerdict:
-    feasible: bool
-    condition: Optional[IntervalCondition] = None
-    probability_trend: Optional[Trend] = None
-
-
-def _bounded(variable: str, lower: Optional[str], upper: Optional[str],
-             parameter: str, direction: str) -> FeasibilityVerdict:
-    return FeasibilityVerdict(
-        feasible=True,
-        condition=IntervalCondition(variable, lower, upper),
-        probability_trend=Trend(parameter, direction),
-    )
-
-
-def _case_block(entries: dict[Quadrant, FeasibilityVerdict]) -> dict[Quadrant, FeasibilityVerdict]:
-    block = {q: FeasibilityVerdict(feasible=False) for q in QUADRANTS}
-    block.update(entries)
-    return block
-
-
-# The full verdict table, keyed by (regime, input quadrant) -> output quadrant.
-# A feasible verdict with no condition and no trend is reached with probability one.
-CASE_TABLE: dict[tuple[str, Quadrant], dict[Quadrant, FeasibilityVerdict]] = {
+# The reachable cells, keyed by (regime, input quadrant, output quadrant);
+# every cell not listed is infeasible.
+CASE_TABLE: dict[tuple[str, Quadrant, Quadrant], FeasibilityVerdict] = {
     # --- regime I: both couplings positive --------------------------------
-    ("I", (1, 1)): _case_block({(1, 1): FeasibilityVerdict(feasible=True)}),
-    ("I", (-1, -1)): _case_block({(-1, -1): FeasibilityVerdict(feasible=True)}),
-    ("I", (1, -1)): _case_block({
-        (1, 1): _bounded("dr1", "-dr2/b2", None, "b2", "increasing"),
-        (1, -1): _bounded("dr1", "-b1*dr2", "-dr2/b2", "both", "decreasing"),
-        (-1, -1): _bounded("dr1", None, "-b1*dr2", "b1", "increasing"),
-    }),
-    ("I", (-1, 1)): _case_block({
-        (1, 1): _bounded("dr1", "-b1*dr2", None, "b1", "increasing"),
-        (-1, 1): _bounded("dr1", "-dr2/b2", "-b1*dr2", "both", "decreasing"),
-        (-1, -1): _bounded("dr1", None, "-dr2/b2", "b2", "increasing"),
-    }),
+    ("I", (1, 1), (1, 1)): FeasibilityVerdict(True),
+    ("I", (-1, -1), (-1, -1)): FeasibilityVerdict(True),
+    ("I", (1, -1), (1, 1)): _bounded("dr1", "-dr2/b2", None, "b2", "increasing"),
+    ("I", (1, -1), (1, -1)): _bounded("dr1", "-b1*dr2", "-dr2/b2", "both", "decreasing"),
+    ("I", (1, -1), (-1, -1)): _bounded("dr1", None, "-b1*dr2", "b1", "increasing"),
+    ("I", (-1, 1), (1, 1)): _bounded("dr1", "-b1*dr2", None, "b1", "increasing"),
+    ("I", (-1, 1), (-1, 1)): _bounded("dr1", "-dr2/b2", "-b1*dr2", "both", "decreasing"),
+    ("I", (-1, 1), (-1, -1)): _bounded("dr1", None, "-dr2/b2", "b2", "increasing"),
     # --- regime II: both couplings negative -------------------------------
-    ("II", (1, 1)): _case_block({
-        (1, 1): _bounded("dr1", "-b1*dr2", "-dr2/b2", "both", "decreasing"),
-        (1, -1): _bounded("dr1", "-dr2/b2", None, "b2", "increasing"),
-        (-1, 1): _bounded("dr1", None, "-b1*dr2", "b1", "increasing"),
-    }),
-    ("II", (-1, -1)): _case_block({
-        (-1, -1): _bounded("dr1", "-dr2/b2", "-b1*dr2", "both", "decreasing"),
-        (-1, 1): _bounded("dr1", None, "-dr2/b2", "b2", "increasing"),
-        (1, -1): _bounded("dr1", "-b1*dr2", None, "b1", "increasing"),
-    }),
-    ("II", (1, -1)): _case_block({(1, -1): FeasibilityVerdict(feasible=True)}),
-    ("II", (-1, 1)): _case_block({(-1, 1): FeasibilityVerdict(feasible=True)}),
+    ("II", (1, 1), (1, 1)): _bounded("dr1", "-b1*dr2", "-dr2/b2", "both", "decreasing"),
+    ("II", (1, 1), (1, -1)): _bounded("dr1", "-dr2/b2", None, "b2", "increasing"),
+    ("II", (1, 1), (-1, 1)): _bounded("dr1", None, "-b1*dr2", "b1", "increasing"),
+    ("II", (-1, -1), (-1, -1)): _bounded("dr1", "-dr2/b2", "-b1*dr2", "both", "decreasing"),
+    ("II", (-1, -1), (-1, 1)): _bounded("dr1", None, "-dr2/b2", "b2", "increasing"),
+    ("II", (-1, -1), (1, -1)): _bounded("dr1", "-b1*dr2", None, "b1", "increasing"),
+    ("II", (1, -1), (1, -1)): FeasibilityVerdict(True),
+    ("II", (-1, 1), (-1, 1)): FeasibilityVerdict(True),
     # --- regime III: b1 positive, b2 negative ------------------------------
-    ("III", (1, 1)): _case_block({
-        (1, 1): _bounded("dr2", "-b2*dr1", None, "b2", "decreasing"),
-        (1, -1): _bounded("dr2", None, "-b2*dr1", "b2", "increasing"),
-    }),
-    ("III", (-1, -1)): _case_block({
-        (-1, -1): _bounded("dr2", None, "-b2*dr1", "b2", "decreasing"),
-        (-1, 1): _bounded("dr2", "-b2*dr1", None, "b2", "increasing"),
-    }),
-    ("III", (1, -1)): _case_block({
-        (-1, -1): _bounded("dr2", None, "-dr1/b1", "b1", "increasing"),
-        (1, -1): _bounded("dr2", "-dr1/b1", None, "b1", "decreasing"),
-    }),
-    ("III", (-1, 1)): _case_block({
-        (1, 1): _bounded("dr2", "-dr1/b1", None, "b1", "increasing"),
-        (-1, 1): _bounded("dr2", None, "-dr1/b1", "b1", "decreasing"),
-    }),
+    ("III", (1, 1), (1, 1)): _bounded("dr2", "-b2*dr1", None, "b2", "decreasing"),
+    ("III", (1, 1), (1, -1)): _bounded("dr2", None, "-b2*dr1", "b2", "increasing"),
+    ("III", (-1, -1), (-1, -1)): _bounded("dr2", None, "-b2*dr1", "b2", "decreasing"),
+    ("III", (-1, -1), (-1, 1)): _bounded("dr2", "-b2*dr1", None, "b2", "increasing"),
+    ("III", (1, -1), (-1, -1)): _bounded("dr2", None, "-dr1/b1", "b1", "increasing"),
+    ("III", (1, -1), (1, -1)): _bounded("dr2", "-dr1/b1", None, "b1", "decreasing"),
+    ("III", (-1, 1), (1, 1)): _bounded("dr2", "-dr1/b1", None, "b1", "increasing"),
+    ("III", (-1, 1), (-1, 1)): _bounded("dr2", None, "-dr1/b1", "b1", "decreasing"),
     # --- regime IV: b1 negative, b2 positive ------------------------------
-    ("IV", (1, 1)): _case_block({
-        (1, 1): _bounded("dr1", "-b1*dr2", None, "b1", "decreasing"),
-        (-1, 1): _bounded("dr1", None, "-b1*dr2", "b1", "increasing"),
-    }),
-    ("IV", (-1, -1)): _case_block({
-        (-1, -1): _bounded("dr1", None, "-b1*dr2", "b1", "decreasing"),
-        (1, -1): _bounded("dr1", "-b1*dr2", None, "b1", "increasing"),
-    }),
-    ("IV", (1, -1)): _case_block({
-        (1, 1): _bounded("dr1", "-dr2/b2", None, "b2", "increasing"),
-        (1, -1): _bounded("dr1", None, "-dr2/b2", "b2", "decreasing"),
-    }),
-    ("IV", (-1, 1)): _case_block({
-        (-1, -1): _bounded("dr1", None, "-dr2/b2", "b2", "increasing"),
-        (-1, 1): _bounded("dr1", "-dr2/b2", None, "b2", "decreasing"),
-    }),
+    ("IV", (1, 1), (1, 1)): _bounded("dr1", "-b1*dr2", None, "b1", "decreasing"),
+    ("IV", (1, 1), (-1, 1)): _bounded("dr1", None, "-b1*dr2", "b1", "increasing"),
+    ("IV", (-1, -1), (-1, -1)): _bounded("dr1", None, "-b1*dr2", "b1", "decreasing"),
+    ("IV", (-1, -1), (1, -1)): _bounded("dr1", "-b1*dr2", None, "b1", "increasing"),
+    ("IV", (1, -1), (1, 1)): _bounded("dr1", "-dr2/b2", None, "b2", "increasing"),
+    ("IV", (1, -1), (1, -1)): _bounded("dr1", None, "-dr2/b2", "b2", "decreasing"),
+    ("IV", (-1, 1), (-1, -1)): _bounded("dr1", None, "-dr2/b2", "b2", "increasing"),
+    ("IV", (-1, 1), (-1, 1)): _bounded("dr1", "-dr2/b2", None, "b2", "decreasing"),
 }
 
 
@@ -181,32 +136,24 @@ def classify(
         raise ValueError(f"unknown regime {regime!r}")
     if input_quadrant not in QUADRANTS or output_quadrant not in QUADRANTS:
         raise ValueError("quadrants must be pairs of +1/-1")
-    return CASE_TABLE[(regime, input_quadrant)][output_quadrant]
+    return CASE_TABLE.get((regime, input_quadrant, output_quadrant), FeasibilityVerdict(False))
 
 
-def _sample_deltas(
+def _sample(
     b: tuple[float, float], input_quadrant: Quadrant, n_samples: int, rng: np.random.Generator
-):
-    """Uniform (dx, dy) over the signed unit box of the input quadrant."""
+) -> tuple[np.ndarray, np.ndarray, dict[Quadrant, np.ndarray]]:
+    """Uniform (dx, dy) over the signed unit box of the input quadrant, and
+    the output quadrant each sample lands in, as one mask per quadrant."""
     sx, sy = input_quadrant
     mags = 1.0 - rng.random((2, n_samples))  # (0, 1]; keeps samples off the axes
     dx = sx * mags[0]
     dy = sy * mags[1]
     du = dx + b[0] * dy
     dv = dy + b[1] * dx
-    return dx, dy, du, dv
-
-
-def _quadrant_masks(du, dv) -> dict[Quadrant, np.ndarray]:
     # zero maps to the positive side, matching the engine's sign convention
     up = du >= 0
     vp = dv >= 0
-    return {
-        (1, 1): up & vp,
-        (1, -1): up & ~vp,
-        (-1, 1): ~up & vp,
-        (-1, -1): ~up & ~vp,
-    }
+    return dx, dy, {q: (up == (q[0] > 0)) & (vp == (q[1] > 0)) for q in QUADRANTS}
 
 
 def brute_force_feasibility(
@@ -221,8 +168,7 @@ def brute_force_feasibility(
     s1, s2 = REGIME_SIGNS[regime]
     if not (0 < s1 * b[0] < 1 and 0 < s2 * b[1] < 1):
         raise ValueError(f"b={b} outside open box of regime {regime}")
-    _, _, du, dv = _sample_deltas(b, input_quadrant, n_samples, rng)
-    masks = _quadrant_masks(du, dv)
+    _, _, masks = _sample(b, input_quadrant, n_samples, rng)
     return {q: float(np.count_nonzero(m)) / n_samples for q, m in masks.items()}
 
 
@@ -301,69 +247,62 @@ def verify_appendix(n_samples: int = 1_000_000, master_seed: int = 0) -> Appendi
     approaching the limit.
     """
     checks: list[CaseCheck] = []
-    for regime in REGIME_SIGNS:
-        for input_q in QUADRANTS:
-            block = CASE_TABLE[(regime, input_q)]
-            feas_ok = {q: True for q in QUADRANTS}
-            cond_ok: dict[Quadrant, Optional[bool]] = {
-                q: (True if block[q].feasible else None) for q in QUADRANTS
-            }
-            details: dict[Quadrant, str] = {q: "" for q in QUADRANTS}
+    for regime, input_q in itertools.product(REGIME_SIGNS, QUADRANTS):
+        block = {q: classify(regime, input_q, q) for q in QUADRANTS}
+        feas_ok = {q: True for q in QUADRANTS}
+        cond_ok: dict[Quadrant, Optional[bool]] = {
+            q: (True if block[q].feasible else None) for q in QUADRANTS
+        }
+        details: dict[Quadrant, str] = {q: "" for q in QUADRANTS}
 
-            for b in _points(regime, itertools.product(_FEASIBILITY_MAGNITUDES, repeat=2)):
-                seed = fold_seed(master_seed, f"verify:{regime}:{input_q}", b)
-                rng = np.random.default_rng(seed)
-                dx, dy, du, dv = _sample_deltas(b, input_q, n_samples, rng)
-                masks = _quadrant_masks(du, dv)
-                for q in QUADRANTS:
-                    verdict = block[q]
-                    hit = bool(masks[q].any())
-                    if hit != verdict.feasible:
-                        feas_ok[q] = False
-                        details[q] = (
-                            f"b={b}: sampled frequency "
-                            f"{np.count_nonzero(masks[q]) / n_samples:g} vs "
-                            f"feasible={verdict.feasible}"
-                        )
-                    if verdict.feasible:
-                        predicted = (
-                            verdict.condition.holds(b, dx, dy)
-                            if verdict.condition is not None
-                            else np.ones(n_samples, dtype=bool)
-                        )
-                        if not np.array_equal(predicted, masks[q]):
-                            cond_ok[q] = False
-                            bad = int(np.count_nonzero(predicted != masks[q]))
-                            details[q] = f"b={b}: condition mismatches on {bad} samples"
-
+        for b in _points(regime, itertools.product(_FEASIBILITY_MAGNITUDES, repeat=2)):
+            seed = fold_seed(master_seed, f"verify:{regime}:{input_q}", b)
+            rng = np.random.default_rng(seed)
+            dx, dy, masks = _sample(b, input_q, n_samples, rng)
             for q in QUADRANTS:
                 verdict = block[q]
-                trend_ok: Optional[bool] = None
-                if verdict.probability_trend is not None:
-                    trend = verdict.probability_trend
-                    # five b points ordered toward the trend's limit
-                    m1 = _TREND_FIXED_MAGNITUDES if trend.parameter == "b2" else _TREND_MAGNITUDES
-                    m2 = _TREND_FIXED_MAGNITUDES if trend.parameter == "b1" else _TREND_MAGNITUDES
-                    freqs = []
-                    for b in _points(regime, zip(m1, m2)):
-                        seed = fold_seed(master_seed, f"trend:{regime}:{input_q}:{q}", b)
-                        rng = np.random.default_rng(seed)
-                        freqs.append(brute_force_feasibility(regime, b, input_q, n_samples, rng)[q])
-                    diffs = np.diff(freqs)
-                    trend_ok = bool(
-                        np.all(diffs > 0) if trend.direction == "increasing" else np.all(diffs < 0)
+                hit = bool(masks[q].any())
+                if hit != verdict.feasible:
+                    feas_ok[q] = False
+                    details[q] = (
+                        f"b={b}: sampled frequency "
+                        f"{np.count_nonzero(masks[q]) / n_samples:g} vs "
+                        f"feasible={verdict.feasible}"
                     )
-                    if not trend_ok:
-                        details[q] = f"frequencies {freqs} not {trend.direction} toward limit"
-                checks.append(
-                    CaseCheck(
-                        regime=regime,
-                        input_quadrant=input_q,
-                        output_quadrant=q,
-                        feasibility_ok=feas_ok[q],
-                        condition_ok=cond_ok[q],
-                        trend_ok=trend_ok,
-                        detail=details[q],
-                    )
+                if verdict.feasible:
+                    predicted = verdict.holds(b, dx, dy)
+                    if not np.array_equal(predicted, masks[q]):
+                        cond_ok[q] = False
+                        bad = int(np.count_nonzero(predicted != masks[q]))
+                        details[q] = f"b={b}: condition mismatches on {bad} samples"
+
+        for q in QUADRANTS:
+            verdict = block[q]
+            trend_ok: Optional[bool] = None
+            if verdict.trend is not None:
+                # five b points ordered toward the trend's limit
+                m1 = _TREND_FIXED_MAGNITUDES if verdict.trend == "b2" else _TREND_MAGNITUDES
+                m2 = _TREND_FIXED_MAGNITUDES if verdict.trend == "b1" else _TREND_MAGNITUDES
+                freqs = []
+                for b in _points(regime, zip(m1, m2)):
+                    seed = fold_seed(master_seed, f"trend:{regime}:{input_q}:{q}", b)
+                    rng = np.random.default_rng(seed)
+                    freqs.append(brute_force_feasibility(regime, b, input_q, n_samples, rng)[q])
+                diffs = np.diff(freqs)
+                trend_ok = bool(
+                    np.all(diffs > 0) if verdict.direction == "increasing" else np.all(diffs < 0)
                 )
+                if not trend_ok:
+                    details[q] = f"frequencies {freqs} not {verdict.direction} toward limit"
+            checks.append(
+                CaseCheck(
+                    regime=regime,
+                    input_quadrant=input_q,
+                    output_quadrant=q,
+                    feasibility_ok=feas_ok[q],
+                    condition_ok=cond_ok[q],
+                    trend_ok=trend_ok,
+                    detail=details[q],
+                )
+            )
     return AppendixReport(n_samples=n_samples, checks=checks)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import tempfile
@@ -82,11 +83,14 @@ def _write_report(path: str | None, header: list[str], rows) -> None:
 
 
 def _float_list(text: str) -> list[float]:
-    """argparse type of a comma-separated list of numbers."""
+    """argparse type of a comma-separated list of finite numbers."""
     try:
-        return [float(v) for v in text.split(",")]
+        values = [float(v) for v in text.split(",")]
+        if all(map(math.isfinite, values)):
+            return values
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected numbers, got {text!r}") from None
+        pass
+    raise argparse.ArgumentTypeError(f"expected finite numbers, got {text!r}")
 
 
 def _positive_int(text: str) -> int:
@@ -122,7 +126,7 @@ def _add_model_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--no-events", action="store_true")
     parser.add_argument("--runs", type=int, dest="n_runs")
     parser.add_argument("--seed", type=int, dest="master_seed")
-    parser.add_argument("--threads", type=int, default=os.cpu_count())
+    parser.add_argument("--threads", type=_positive_int, default=os.cpu_count())
 
 
 def _resolve_config(args) -> tuple[ModelConfig, dict]:
@@ -205,7 +209,7 @@ def _axis_from_flags(args, name: str, default: np.ndarray) -> np.ndarray:
     lo = default[0] if lo is None else lo
     hi = default[-1] if hi is None else hi
     step = (default[1] - default[0]) if step is None else step
-    if step <= 0 or hi < lo:
+    if not np.isfinite([lo, hi, step]).all() or step <= 0 or hi < lo:
         raise ConfigError(f"invalid axis for {name}: min={lo} max={hi} step={step}")
     return np.round(np.arange(lo, hi + step / 2, step), 10) + 0.0
 
@@ -282,29 +286,33 @@ def _cmd_sweep(args) -> CommandOutcome:
 
 
 def _load_samples(paths) -> dict[int, list[tuple[np.ndarray, np.ndarray]]]:
-    """Read trajectory or scatter CSVs into per-stock (expected, return) pairs."""
+    """Read trajectory or scatter CSVs into per-stock (expected, return) pairs.
+    A malformed row is a configuration error naming its file and line."""
     per_stock: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {1: [], 2: []}
     for path in paths:
         with open(path, encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
-            if header == market.TRAJECTORY_COLUMNS:
-                rows = list(reader)
-                for stock, (x_col, y_col) in ((1, (4, 2)), (2, (8, 6))):
-                    x = np.array([float(r[x_col]) for r in rows])
-                    y = np.array([float(r[y_col]) for r in rows])
-                    per_stock[stock].append((x, y))
-            elif header == sweep.SCATTER_COLUMNS:
-                buckets: dict[tuple[int, int], list[tuple[float, float]]] = {}
-                for r in reader:
-                    buckets.setdefault((int(r[0]), int(r[1])), []).append(
-                        (float(r[3]), float(r[4]))
-                    )
-                for (stock, _run), pairs in sorted(buckets.items()):
-                    arr = np.array(pairs)
-                    per_stock[stock].append((arr[:, 0], arr[:, 1]))
-            else:
+            if header not in (market.TRAJECTORY_COLUMNS, sweep.SCATTER_COLUMNS):
                 raise ConfigError(f"{path}: unrecognized CSV header {header}")
+            try:
+                if header == market.TRAJECTORY_COLUMNS:
+                    rows = [[float(r[col]) for col in (4, 2, 8, 6)] for r in reader]
+                    arr = np.array(rows).reshape(-1, 4)
+                    per_stock[1].append((arr[:, 0], arr[:, 1]))
+                    per_stock[2].append((arr[:, 2], arr[:, 3]))
+                else:
+                    buckets: dict[tuple[int, int], list[tuple[float, float]]] = {}
+                    for r in reader:
+                        key = (int(r[0]), int(r[1]))
+                        if key[0] not in per_stock:
+                            raise ValueError(f"no stock {key[0]}")
+                        buckets.setdefault(key, []).append((float(r[3]), float(r[4])))
+                    for (stock, _run), pairs in sorted(buckets.items()):
+                        arr = np.array(pairs)
+                        per_stock[stock].append((arr[:, 0], arr[:, 1]))
+            except (ValueError, IndexError) as exc:
+                raise ConfigError(f"{path}: line {reader.line_num}: malformed row ({exc})") from None
     return per_stock
 
 

@@ -10,6 +10,7 @@ one parameter per line, which round-trips bit-exactly (floats are written with
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, replace
 from typing import Union
 
@@ -122,6 +123,9 @@ def validate(config: ModelConfig) -> ModelConfig:
             )
     if config.n_runs <= 0:
         raise ConfigError(f"n_runs must be positive, got {config.n_runs}")
+    for key, value in _items(config):
+        if _KEYS[key] is float and not math.isfinite(value):
+            raise ConfigError(f"{key} must be finite, got {value}")
     return config
 
 

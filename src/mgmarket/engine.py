@@ -37,8 +37,8 @@ import numpy as np
 from . import market, scoring, seeding, strategy
 from .config import ModelConfig, validate
 from .errors import NonPositivePriceError
-from .expectation import CouplingCoefficients, sample_couplings
-from .market import EventState, MarketState, StockSeries
+from .expectation import sample_couplings
+from .market import MarketState, StockSeries
 from .stats import pearson
 
 
@@ -47,7 +47,7 @@ class RunComponents:
     """Everything random a run needs, pre-drawn or as live streams."""
 
     tables: tuple[np.ndarray, np.ndarray]
-    couplings: CouplingCoefficients
+    couplings: tuple[np.ndarray, np.ndarray]
     warmup_decisions: tuple[np.ndarray, np.ndarray]
     tiebreak_rngs: tuple[np.random.Generator, np.random.Generator]
     event_rngs: tuple[np.random.Generator, np.random.Generator]
@@ -85,7 +85,7 @@ def build_components(config: ModelConfig, run_index: int) -> RunComponents:
 def simulate_trajectory(
     config: ModelConfig,
     components: RunComponents,
-    event_states: tuple[EventState, EventState] | None = None,
+    shock_amplitudes: tuple[float, float] | None = None,
 ) -> MarketState:
     """Run the dynamics with fully realized components.
 
@@ -133,7 +133,7 @@ def simulate_trajectory(
             played = components.warmup_decisions[j][w]
             advance(j, w, market.excess_demand(played), 0.0)
 
-    b_per_stock = (components.couplings.b1, components.couplings.b2)
+    b_per_stock = components.couplings
     mean_b = (float(b_per_stock[0].mean()), float(b_per_stock[1].mean()))
     tables = components.tables
     tiebreak_rngs = components.tiebreak_rngs
@@ -158,8 +158,10 @@ def simulate_trajectory(
             played = decisions.T.reshape(-1)[agent_ids + slot * n]
             a_int = market.excess_demand(played)
             a_ext = 0.0
-            if event_states is not None:
-                a_ext = market.external_demand(event_states[j], event_rngs[j])
+            if shock_amplitudes is not None:
+                a_ext = market.external_demand(
+                    config.events.probability, shock_amplitudes[j], event_rngs[j]
+                )
 
             a_total = advance(j, step, a_int, a_ext)
             scoring.update_scores(stock_scores[j], decisions, a_total)
@@ -185,7 +187,7 @@ class RunResult:
     market: MarketState
     correlation: float
     run_index: int
-    event_states: tuple[EventState, EventState] | None = None
+    shock_amplitudes: tuple[float, float] | None = None
 
     def samples(self, stock_index: int) -> tuple[np.ndarray, np.ndarray]:
         """(mean expected return, realized return) pairs per recorded step."""
@@ -198,25 +200,21 @@ def run(config: ModelConfig, run_index: int) -> RunResult:
     validate(config)
     components = build_components(config, run_index)
 
-    event_states = None
+    shock_amplitudes = None
     if config.events is not None:
         baseline = simulate_trajectory(config, components)
-        event_states = tuple(
-            EventState(
-                probability=config.events.probability,
-                strength=config.events.strength,
-                baseline_std=float(
-                    np.std(baseline.stocks[j].internal_demand[baseline.warmup_steps :])
-                ),
-            )
+        shock_amplitudes = tuple(
+            config.events.strength
+            * float(np.std(baseline.stocks[j].internal_demand[baseline.warmup_steps :]))
             for j in (0, 1)
         )
         # the calibration pass consumed the live streams; rebuild them
         components = build_components(config, run_index)
 
-    state = simulate_trajectory(config, components, event_states)
+    # positional: perfbench's trajectory probe names the argument event_states
+    state = simulate_trajectory(config, components, shock_amplitudes)
     rho = pearson(state.main_returns(0), state.main_returns(1))
-    return RunResult(market=state, correlation=rho, run_index=run_index, event_states=event_states)
+    return RunResult(state, rho, run_index, shock_amplitudes)
 
 
 @dataclass(frozen=True)

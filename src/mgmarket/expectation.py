@@ -8,37 +8,25 @@ all agents or drawn per agent from a uniform distribution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .config import Coupling, HomogeneousCoupling, UniformCoupling
 
 
-@dataclass(frozen=True)
-class CouplingCoefficients:
-    """Per-agent cross-stock weights, one array per stock."""
-
-    b1: np.ndarray
-    b2: np.ndarray
-
-
 def sample_couplings(
     coupling: Coupling, n_agents: int, rng: np.random.Generator
-) -> CouplingCoefficients:
-    """Realize the coupling spec for a population of agents.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Realize the coupling spec for a population of agents: the per-agent
+    cross-stock weights (b1, b2), one array per stock.
 
     Homogeneous specs consume no randomness; uniform specs draw b1 for all
     agents, then b2, i.i.d. and independent across stocks.
     """
     if isinstance(coupling, HomogeneousCoupling):
-        return CouplingCoefficients(
-            b1=np.full(n_agents, float(coupling.b1)),
-            b2=np.full(n_agents, float(coupling.b2)),
-        )
+        return np.full(n_agents, float(coupling.b1)), np.full(n_agents, float(coupling.b2))
     if isinstance(coupling, UniformCoupling):
         b1 = rng.uniform(coupling.c1 - coupling.delta1, coupling.c1 + coupling.delta1, n_agents)
         b2 = rng.uniform(coupling.c2 - coupling.delta2, coupling.c2 + coupling.delta2, n_agents)
-        return CouplingCoefficients(b1=b1, b2=b2)
+        return b1, b2
     raise TypeError(f"unsupported coupling spec {coupling!r}")
 

@@ -20,35 +20,22 @@ import numpy as np
 from .errors import NonPositivePriceError
 
 
-@dataclass(frozen=True)
-class EventState:
-    """Calibrated shock generator for one stock."""
-
-    probability: float
-    strength: float
-    baseline_std: float
-
-    @property
-    def amplitude(self) -> float:
-        return self.strength * self.baseline_std
-
-
 def excess_demand(decisions) -> int:
     """Exact integer sum of all agents' decisions for one stock."""
     return int(np.asarray(decisions).sum())
 
 
-def external_demand(state: EventState, rng: np.random.Generator) -> float:
-    """One step's external shock: +/- amplitude with probability p, else 0.
+def external_demand(probability: float, amplitude: float, rng: np.random.Generator) -> float:
+    """One step's external shock: +/- amplitude with ``probability``, else 0.
 
     Both the occurrence draw and the sign draw are consumed every call so the
     stream schedule does not depend on outcomes.
     """
-    fired = rng.random() < state.probability
+    fired = rng.random() < probability
     odd_parity = int(rng.integers(0, 2))
     if not fired:
         return 0.0
-    return -state.amplitude if odd_parity else state.amplitude
+    return -amplitude if odd_parity else amplitude
 
 
 def update_price(prev_price: float, total_demand: float) -> float:

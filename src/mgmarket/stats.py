@@ -23,6 +23,8 @@ def _as_pair(x, y) -> tuple[np.ndarray, np.ndarray]:
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 1:
         raise DegenerateSeriesError(f"series shapes differ: {x.shape} vs {y.shape}")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise DegenerateSeriesError("series hold non-finite values")
     return x, y
 
 

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from mgmarket import analytic
 from mgmarket.analytic import (
     CASE_TABLE,
     QUADRANTS,
+    REGIME_SIGNS,
     brute_force_feasibility,
     classify,
     expectation_delta,
@@ -25,22 +28,22 @@ def test_expectation_delta_examples():
 def test_classify_known_infeasible_case():
     verdict = classify("I", (1, -1), (-1, 1))
     assert not verdict.feasible
-    assert verdict.condition is None
+    assert verdict.variable is None
 
 
 def test_classify_bounded_case_with_both_limits():
     verdict = classify("I", (1, -1), (1, -1))
     assert verdict.feasible
-    assert verdict.condition.variable == "dr1"
-    assert verdict.condition.lower == "-b1*dr2"
-    assert verdict.condition.upper == "-dr2/b2"
-    assert verdict.probability_trend.direction == "decreasing"
-    assert verdict.probability_trend.parameter == "both"
+    assert verdict.variable == "dr1"
+    assert verdict.lower == "-b1*dr2"
+    assert verdict.upper == "-dr2/b2"
+    assert verdict.direction == "decreasing"
+    assert verdict.trend == "both"
 
 
 def test_classify_opposite_regime_deterministic():
     verdict = classify("II", (1, -1), (1, -1))
-    assert verdict.feasible and verdict.condition is None and verdict.probability_trend is None
+    assert verdict.feasible and verdict.variable is None and verdict.trend is None
     for out in QUADRANTS:
         if out != (1, -1):
             assert not classify("II", (1, -1), out).feasible
@@ -49,21 +52,24 @@ def test_classify_opposite_regime_deterministic():
 def test_classify_mixed_regime_example():
     verdict = classify("III", (1, 1), (1, 1))
     assert verdict.feasible
-    assert verdict.condition.variable == "dr2"
-    assert verdict.condition.lower == "-b2*dr1"
-    assert verdict.probability_trend.parameter == "b2"
-    assert verdict.probability_trend.direction == "decreasing"
+    assert verdict.variable == "dr2"
+    assert verdict.lower == "-b2*dr1"
+    assert verdict.trend == "b2"
+    assert verdict.direction == "decreasing"
 
 
 def test_every_input_has_at_least_one_feasible_output():
-    for (regime, input_q), block in CASE_TABLE.items():
-        assert any(v.feasible for v in block.values()), (regime, input_q)
+    for regime, input_q in itertools.product(REGIME_SIGNS, QUADRANTS):
+        assert any(classify(regime, input_q, q).feasible for q in QUADRANTS), (regime, input_q)
+    # the table lists exactly the reachable cells: 28 bounded and 4 certain
+    assert all(v.feasible for v in CASE_TABLE.values())
+    assert sum(v.variable is not None for v in CASE_TABLE.values()) == 28
+    assert len(CASE_TABLE) == 32
 
 
 def test_deterministic_cases_have_single_feasible_output():
     for regime, input_q in (("I", (1, 1)), ("I", (-1, -1)), ("II", (1, -1)), ("II", (-1, 1))):
-        block = CASE_TABLE[(regime, input_q)]
-        feasible = [q for q, v in block.items() if v.feasible]
+        feasible = [q for q in QUADRANTS if classify(regime, input_q, q).feasible]
         assert len(feasible) == 1
 
 
@@ -75,17 +81,17 @@ def test_case_iv_mirrors_case_iii_under_stock_relabeling(rng):
             iii = classify("III", input_q, output_q)
             iv = classify("IV", (input_q[1], input_q[0]), (output_q[1], output_q[0]))
             assert iii.feasible == iv.feasible
-            if iii.probability_trend is not None:
+            if iii.trend is not None:
                 swap = {"b1": "b2", "b2": "b1", "both": "both"}
-                assert iv.probability_trend.parameter == swap[iii.probability_trend.parameter]
-                assert iv.probability_trend.direction == iii.probability_trend.direction
-            if iii.feasible and iii.condition is not None:
+                assert iv.trend == swap[iii.trend]
+                assert iv.direction == iii.direction
+            if iii.feasible and iii.variable is not None:
                 b3 = (0.6, -0.4)
                 b4 = (-0.4, 0.6)
                 dx = rng.uniform(0.01, 1.0, 300) * input_q[0]
                 dy = rng.uniform(0.01, 1.0, 300) * input_q[1]
-                mask3 = iii.condition.holds(b3, dx, dy)
-                mask4 = iv.condition.holds(b4, dy, dx)
+                mask3 = iii.holds(b3, dx, dy)
+                mask4 = iv.holds(b4, dy, dx)
                 assert np.array_equal(mask3, mask4)
 
 

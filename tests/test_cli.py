@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from mgmarket import ModelConfig, run
+from mgmarket import ModelConfig, engine, run
 from mgmarket.cli import dispatch
 
 
@@ -123,6 +123,38 @@ def test_runtime_error_exit_code():
     outcome = run_cli("simulate", *SMALL, "--initial-price", "4.0", "--horizon", "500")
     assert outcome.exit_code == 2
     assert "market.update_price" in outcome.message
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["simulate", "--initial-price", "inf"], "config.validate: initial_price must be finite"),
+        (["simulate", "--initial-price", "nan"], "config.validate: initial_price must be finite"),
+        (["simulate", "--b1", "nan"], "config.validate: b1 must be finite"),
+        (["simulate", "--b1", "inf"], "config.validate: b1 must be finite"),
+        (["simulate", "--event-p", "0.5", "--event-k", "nan"],
+         "config.validate: event_strength must be finite"),
+        (["simulate", "--delta1", "inf"], "config.validate: delta1 must be finite"),
+        (["sweep", "--experiment", "homogeneous", "--b1-step", "nan"],
+         "config.validate: invalid axis for b1"),
+        (["sweep", "--experiment", "homogeneous", "--b1-max", "inf"],
+         "config.validate: invalid axis for b1"),
+        (["sweep", "--experiment", "events", "--k-values", "nan"],
+         "mgmarket sweep: argument --k-values: expected finite numbers"),
+        (["simulate", "--threads", "0"], "mgmarket simulate: argument --threads: expected a positive"),
+        (["simulate", "--threads", "-3"], "mgmarket simulate: argument --threads: expected a positive"),
+    ],
+    ids=["initial-price-inf", "initial-price-nan", "b1-nan", "b1-inf", "event-k-nan", "delta1-inf",
+         "b1-step-nan", "b1-max-inf", "k-values-nan", "threads-0", "threads-negative"],
+)
+def test_non_finite_or_nonpositive_flag_is_usage_error(monkeypatch, argv, message):
+    def no_run(*_args):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(engine, "run", no_run)
+    outcome = run_cli(*argv, "--n-agents", "31", "--horizon", "20", "--runs", "1")
+    assert outcome.exit_code == 1
+    assert outcome.message.startswith(message)
 
 
 def test_mixing_coupling_flags_rejected():
@@ -288,6 +320,32 @@ def test_report_on_input_without_samples_is_runtime_error(tmp_path, verb):
     assert outcome.exit_code == 2
     assert outcome.message == f"stats: no samples in {scatter}"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["empty.csv"]
+
+
+@pytest.mark.parametrize("verb", ["regress", "ar1"])
+@pytest.mark.parametrize(
+    "source,defect",
+    [("scatter", "non-numeric"), ("scatter", "short"), ("scatter", "stock"),
+     ("trajectory", "non-numeric"), ("trajectory", "short")],
+)
+def test_malformed_row_is_usage_error(tmp_path, verb, source, defect):
+    path = tmp_path / f"{source}.csv"
+    run_cli("simulate", *SMALL, f"--{'scatter-' if source == 'scatter' else ''}out", str(path))
+    lines = path.read_text().splitlines()
+    cells = lines[3].split(",")
+    if defect == "non-numeric":
+        cells[4] = "x"
+    elif defect == "short":
+        cells = cells[:2]
+    else:
+        cells[0] = "3"
+    lines[3] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    report = tmp_path / "report.csv"
+    outcome = run_cli(verb, str(path), "--out", str(report))
+    assert outcome.exit_code == 1
+    assert outcome.message.startswith(f"config.validate: {path}: line 4: malformed row")
+    assert not report.exists()
 
 
 def test_simulate_scatter_carries_run_index(tmp_path):

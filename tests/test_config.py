@@ -63,6 +63,17 @@ def test_nonpositive_sizes_rejected(field, value):
         validate(ModelConfig(**{field: value}))
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize(
+    "key",
+    ["initial_price", "b1", "b2", "c1", "delta1", "c2", "delta2", "event_strength"],
+)
+def test_non_finite_float_rejected(key, value):
+    items = {"event_probability": 0.5, key: value}
+    with pytest.raises(ConfigError, match=f"^{key} must be finite, got"):
+        from_items(items)
+
+
 def test_round_trip_homogeneous():
     cfg = ModelConfig(coupling=HomogeneousCoupling(0.1 + 0.2, -0.30000000000000004))
     assert from_text(to_text(cfg)) == cfg

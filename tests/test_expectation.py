@@ -24,29 +24,29 @@ def test_zero_coupling_decouples():
 
 
 def test_homogeneous_coupling_constant(rng):
-    coup = sample_couplings(HomogeneousCoupling(0.5, -0.3), 1001, rng)
-    assert np.all(coup.b1 == 0.5) and np.all(coup.b2 == -0.3)
-    assert len(coup.b1) == len(coup.b2) == 1001
+    b1, b2 = sample_couplings(HomogeneousCoupling(0.5, -0.3), 1001, rng)
+    assert np.all(b1 == 0.5) and np.all(b2 == -0.3)
+    assert len(b1) == len(b2) == 1001
 
 
 def test_uniform_coupling_support(rng):
-    coup = sample_couplings(UniformCoupling(0.4, 0.2, -0.1, 0.05), 5000, rng)
-    assert coup.b1.min() >= 0.2 and coup.b1.max() <= 0.6
-    assert coup.b2.min() >= -0.15 and coup.b2.max() <= -0.05
+    b1, b2 = sample_couplings(UniformCoupling(0.4, 0.2, -0.1, 0.05), 5000, rng)
+    assert b1.min() >= 0.2 and b1.max() <= 0.6
+    assert b2.min() >= -0.15 and b2.max() <= -0.05
 
 
 def test_uniform_coupling_mean_converges(rng):
     n = 100_000
-    coup = sample_couplings(UniformCoupling(0.0, 1.0, 0.3, 0.5), n, rng)
+    b1, b2 = sample_couplings(UniformCoupling(0.0, 1.0, 0.3, 0.5), n, rng)
     # standard error of the mean of U(c-d, c+d) is (2d / sqrt(12)) / sqrt(n)
     tol1 = 3 * (2 * 1.0 / np.sqrt(12)) / np.sqrt(n)
     tol2 = 3 * (2 * 0.5 / np.sqrt(12)) / np.sqrt(n)
-    assert abs(coup.b1.mean() - 0.0) < tol1
-    assert abs(coup.b2.mean() - 0.3) < tol2
+    assert abs(b1.mean() - 0.0) < tol1
+    assert abs(b2.mean() - 0.3) < tol2
 
 
 def test_uniform_stocks_sampled_independently(rng):
-    coup = sample_couplings(UniformCoupling(0.0, 1.0, 0.0, 1.0), 50_000, rng)
-    corr = np.corrcoef(coup.b1, coup.b2)[0, 1]
+    b1, b2 = sample_couplings(UniformCoupling(0.0, 1.0, 0.0, 1.0), 50_000, rng)
+    corr = np.corrcoef(b1, b2)[0, 1]
     assert abs(corr) < 0.02
 

@@ -7,7 +7,6 @@ import pytest
 
 from mgmarket import NonPositivePriceError
 from mgmarket.market import (
-    EventState,
     excess_demand,
     external_demand,
     log_return,
@@ -56,26 +55,18 @@ def test_log_return_examples():
 
 
 def test_external_demand_never_fires_at_p0(rng):
-    state = EventState(probability=0.0, strength=4.0, baseline_std=100.0)
-    assert all(external_demand(state, rng) == 0.0 for _ in range(200))
+    assert all(external_demand(0.0, 400.0, rng) == 0.0 for _ in range(200))
 
 
 def test_external_demand_sign_frequencies(rng):
-    state = EventState(probability=1.0, strength=2.0, baseline_std=10.0)
-    draws = np.array([external_demand(state, rng) for _ in range(10_000)])
+    draws = np.array([external_demand(1.0, 20.0, rng) for _ in range(10_000)])
     assert set(np.unique(draws)) == {-20.0, 20.0}
     assert abs(np.mean(draws > 0) - 0.5) < 0.02
 
 
 def test_external_demand_event_frequency(rng):
-    state = EventState(probability=0.0082, strength=1.0, baseline_std=10.0)
-    draws = np.array([external_demand(state, rng) for _ in range(100_000)])
+    draws = np.array([external_demand(0.0082, 10.0, rng) for _ in range(100_000)])
     assert abs(np.mean(draws != 0.0) - 0.0082) < 0.002
-
-
-def test_event_amplitude():
-    state = EventState(probability=0.5, strength=3.0, baseline_std=7.0)
-    assert state.amplitude == pytest.approx(21.0)
 
 
 def test_trajectory_csv_shape(rng):

@@ -26,6 +26,17 @@ def test_pearson_degenerate():
         pearson([1.0, 2.0], [1.0, 2.0, 3.0])
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_series_refused(bad):
+    # a NaN correlation must not be clamped into a perfect one
+    with pytest.raises(DegenerateSeriesError, match="non-finite"):
+        pearson([1.0, 2.0, bad], [1.0, 2.0, 3.0])
+    with pytest.raises(DegenerateSeriesError, match="non-finite"):
+        ols([1.0, 2.0, 3.0, 4.0], [1.0, bad, 3.0, 5.0])
+    with pytest.raises(DegenerateSeriesError, match="non-finite"):
+        ar1([0.01, -0.02, bad, -0.01, 0.02])
+
+
 @given(
     scale=st.floats(0.01, 100, allow_nan=False),
     offset=st.floats(-50, 50, allow_nan=False),
