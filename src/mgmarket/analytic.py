@@ -40,12 +40,14 @@ def quadrant_str(q: Quadrant) -> str:
     return "(" + ",".join("+" if c > 0 else "-" for c in q) + ")"
 
 
-# Bound expressions appearing in the interval constraints.
+# Bound expressions appearing in the interval constraints.  The sign goes on
+# the scalar, which spares a whole-sample temporary; division rounds
+# symmetrically, so y / -b2 has the bits of -y / b2.
 _BOUNDS = {
     "-b1*dr2": lambda b, x, y: -b[0] * y,
-    "-dr2/b2": lambda b, x, y: -y / b[1],
+    "-dr2/b2": lambda b, x, y: y / -b[1],
     "-b2*dr1": lambda b, x, y: -b[1] * x,
-    "-dr1/b1": lambda b, x, y: -x / b[0],
+    "-dr1/b1": lambda b, x, y: x / -b[0],
 }
 
 
@@ -145,14 +147,19 @@ def _sample(
     """Uniform (dx, dy) over the signed unit box of the input quadrant, and
     the output quadrant each sample lands in, as one mask per quadrant."""
     sx, sy = input_quadrant
-    mags = 1.0 - rng.random((2, n_samples))  # (0, 1]; keeps samples off the axes
-    dx = sx * mags[0]
-    dy = sy * mags[1]
-    du = dx + b[0] * dy
-    dv = dy + b[1] * dx
-    # zero maps to the positive side, matching the engine's sign convention
-    up = du >= 0
-    vp = dv >= 0
+    u = rng.random((2, n_samples))
+    np.subtract(1.0, u, out=u)  # (0, 1]; keeps samples off the axes
+    dx, dy = u
+    dx *= sx
+    dy *= sy
+    # du = dx + b1*dy, then dv = dy + b2*dx, in one buffer; zero maps to
+    # the positive side, matching the engine's sign convention
+    w = np.multiply(dy, b[0])
+    w += dx
+    up = w >= 0
+    np.multiply(dx, b[1], out=w)
+    w += dy
+    vp = w >= 0
     return dx, dy, {q: (up == (q[0] > 0)) & (vp == (q[1] > 0)) for q in QUADRANTS}
 
 
@@ -275,6 +282,8 @@ def verify_appendix(n_samples: int = 1_000_000, master_seed: int = 0) -> Appendi
                         cond_ok[q] = False
                         bad = int(np.count_nonzero(predicted != masks[q]))
                         details[q] = f"b={b}: condition mismatches on {bad} samples"
+                    del predicted
+            del dx, dy, masks  # before the next b point draws its own
 
         for q in QUADRANTS:
             verdict = block[q]

@@ -19,6 +19,8 @@ import math
 import os
 import sys
 import tempfile
+from array import array
+from collections import defaultdict
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, replace
 
@@ -200,18 +202,24 @@ def _cmd_simulate(args) -> CommandOutcome:
 
 _SWEEP_AXES = ("b1", "b2", "c1", "c2", "delta1", "delta2")
 _AXIS_PARTS = ("min", "max", "step")
+# far past any grid a sweep can run; a longer axis is a flag mistake
+_MAX_AXIS_POINTS = 10_000
 
 
 def _axis_from_flags(args, name: str, default: np.ndarray) -> np.ndarray:
     lo, hi, step = (getattr(args, f"{name}_{part}") for part in _AXIS_PARTS)
     if lo is None and hi is None and step is None:
         return default
-    lo = default[0] if lo is None else lo
-    hi = default[-1] if hi is None else hi
-    step = (default[1] - default[0]) if step is None else step
-    if not np.isfinite([lo, hi, step]).all() or step <= 0 or hi < lo:
+    lo = float(default[0] if lo is None else lo)
+    hi = float(default[-1] if hi is None else hi)
+    step = float(default[1] - default[0] if step is None else step)
+    stop = hi + step / 2
+    # arange makes ceil((stop - lo) / step) points: none when rounding at hi
+    # swallows step / 2, and more than a grid can run when step is tiny
+    if (not np.isfinite([lo, hi, step]).all() or step <= 0 or hi < lo
+            or not 0 < (stop - lo) / step <= _MAX_AXIS_POINTS):
         raise ConfigError(f"invalid axis for {name}: min={lo} max={hi} step={step}")
-    return np.round(np.arange(lo, hi + step / 2, step), 10) + 0.0
+    return np.round(np.arange(lo, stop, step), 10) + 0.0
 
 
 def _grid_out_path(base: str, strength: float) -> str:
@@ -286,10 +294,16 @@ def _cmd_sweep(args) -> CommandOutcome:
 
 
 def _load_samples(paths) -> dict[int, list[tuple[np.ndarray, np.ndarray]]]:
-    """Read trajectory or scatter CSVs into per-stock (expected, return) pairs.
-    A malformed row is a configuration error naming its file and line."""
+    """Read trajectory or scatter CSVs into per-stock (expected, return)
+    pairs, one per run: a trajectory file is one run, and a scatter file's
+    runs come in (stock, run) order with their rows in file order.  Each
+    value is packed into a C-double buffer as it is parsed, so a sample row
+    holds 16 bytes.  A malformed row is a configuration error naming its
+    file and line."""
     per_stock: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {1: [], 2: []}
     for path in paths:
+        # (stock, run) -> (expected, return) buffers
+        runs = defaultdict(lambda: (array("d"), array("d")))
         with open(path, encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
@@ -297,22 +311,24 @@ def _load_samples(paths) -> dict[int, list[tuple[np.ndarray, np.ndarray]]]:
                 raise ConfigError(f"{path}: unrecognized CSV header {header}")
             try:
                 if header == market.TRAJECTORY_COLUMNS:
-                    rows = [[float(r[col]) for col in (4, 2, 8, 6)] for r in reader]
-                    arr = np.array(rows).reshape(-1, 4)
-                    per_stock[1].append((arr[:, 0], arr[:, 1]))
-                    per_stock[2].append((arr[:, 2], arr[:, 3]))
+                    (x1, y1), (x2, y2) = runs[1, 0], runs[2, 0]
+                    for r in reader:
+                        x1.append(float(r[4]))
+                        y1.append(float(r[2]))
+                        x2.append(float(r[8]))
+                        y2.append(float(r[6]))
                 else:
-                    buckets: dict[tuple[int, int], list[tuple[float, float]]] = {}
                     for r in reader:
                         key = (int(r[0]), int(r[1]))
                         if key[0] not in per_stock:
                             raise ValueError(f"no stock {key[0]}")
-                        buckets.setdefault(key, []).append((float(r[3]), float(r[4])))
-                    for (stock, _run), pairs in sorted(buckets.items()):
-                        arr = np.array(pairs)
-                        per_stock[stock].append((arr[:, 0], arr[:, 1]))
+                        x, y = runs[key]
+                        x.append(float(r[3]))
+                        y.append(float(r[4]))
             except (ValueError, IndexError) as exc:
                 raise ConfigError(f"{path}: line {reader.line_num}: malformed row ({exc})") from None
+        for (stock, _run), (x, y) in sorted(runs.items()):
+            per_stock[stock].append((np.frombuffer(x), np.frombuffer(y)))
     return per_stock
 
 

@@ -126,6 +126,15 @@ def validate(config: ModelConfig) -> ModelConfig:
     for key, value in _items(config):
         if _KEYS[key] is float and not math.isfinite(value):
             raise ConfigError(f"{key} must be finite, got {value}")
+    if isinstance(config.coupling, UniformCoupling):
+        for j, c, d in ((1, config.coupling.c1, config.coupling.delta1),
+                        (2, config.coupling.c2, config.coupling.delta2)):
+            # the width rng.uniform draws over; infinite too when c - d or c + d is
+            if not math.isfinite((c + d) - (c - d)):
+                raise CoefficientOutOfRangeError(
+                    f"uniform coupling c{j}={c}, delta{j}={d} has no finite support"
+                    f" [c{j} - delta{j}, c{j} + delta{j}]"
+                )
     return config
 
 

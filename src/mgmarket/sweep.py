@@ -266,8 +266,3 @@ def write_scatter(runs, fh) -> None:
                     [stock, run_id, t + 1, repr(float(expected[t])), repr(float(realized[t]))]
                 )
 
-
-def pooled_grid_samples(grid: SweepGrid, stock_index: int) -> tuple[np.ndarray, np.ndarray]:
-    """Concatenate every cell's (expected, return) samples for one stock."""
-    xs, ys = zip(*(run_samples[stock_index] for _, run_samples in grid_runs(grid)))
-    return np.concatenate(xs), np.concatenate(ys)

@@ -22,7 +22,7 @@ from mgmarket.analytic import verify_appendix
 from mgmarket.engine import run, run_many
 from mgmarket.stats import ar1, ar1_pooled, ols
 from mgmarket.sweep import (
-    pooled_grid_samples,
+    grid_runs,
     sweep_centers,
     sweep_events,
     sweep_homogeneous,
@@ -37,6 +37,12 @@ PINNED_RUNS = 20  # criteria 1 and 4 fix the Monte Carlo size
 DEFAULT_RUNS = 50
 
 GRID_VALUES = (-0.9, 0.0, 0.9)
+
+
+def pooled(grids, stock: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every run's (expected, return) samples of one stock over ``grids``."""
+    xs, ys = zip(*(samples[stock] for grid in grids for _, samples in grid_runs(grid)))
+    return np.concatenate(xs), np.concatenate(ys)
 
 
 def check(cid: int, name: str, passed: bool, detail: str) -> None:
@@ -137,13 +143,8 @@ def test_criterion_03_homogeneous_regression(lab):
     details = []
     passed = True
     for stock in (0, 1):
-        xs, ys = [], []
-        for b1 in GRID_VALUES:
-            for b2 in GRID_VALUES:
-                x, y = pooled_grid_samples(lab.homogeneous(b1, b2), stock)
-                xs.append(x)
-                ys.append(y)
-        rep = ols(np.concatenate(xs), np.concatenate(ys))
+        grids = [lab.homogeneous(b1, b2) for b1 in GRID_VALUES for b2 in GRID_VALUES]
+        rep = ols(*pooled(grids, stock))
         ok = 0.57 <= rep.beta1 <= 0.87 and 0.6 <= rep.r_squared <= 0.9
         passed &= ok
         details.append(f"stock{stock+1}: beta1={rep.beta1:.4f} R2={rep.r_squared:.4f}")
@@ -156,8 +157,7 @@ def test_criterion_04_zero_center_regression(lab):
     details = []
     passed = True
     for stock in (0, 1):
-        x, y = pooled_grid_samples(grid, stock)
-        rep = ols(x, y)
+        rep = ols(*pooled([grid], stock))
         ok = 0.95 <= rep.beta1 <= 1.05 and rep.r_squared > 0.97
         passed &= ok
         details.append(f"stock{stock+1}: beta1={rep.beta1:.4f} R2={rep.r_squared:.4f}")

@@ -143,3 +143,39 @@ def test_verify_appendix_small_sample_smoke():
     assert len(report.checks) == 64
     trend_checks = [c for c in report.checks if c.trend_ok is not None]
     assert len(trend_checks) == 28
+
+
+def _sample_out_of_place(b, input_quadrant, n_samples, rng):
+    """Reference for ``analytic._sample``: a new array for every step."""
+    sx, sy = input_quadrant
+    mags = 1.0 - rng.random((2, n_samples))
+    dx = sx * mags[0]
+    dy = sy * mags[1]
+    up = dx + b[0] * dy >= 0
+    vp = dy + b[1] * dx >= 0
+    return dx, dy, {q: (up == (q[0] > 0)) & (vp == (q[1] > 0)) for q in QUADRANTS}
+
+
+_BOUNDS_NEGATING_THE_SAMPLE = {
+    "-b1*dr2": lambda b, x, y: -b[0] * y,
+    "-dr2/b2": lambda b, x, y: -y / b[1],
+    "-b2*dr1": lambda b, x, y: -b[1] * x,
+    "-dr1/b1": lambda b, x, y: -x / b[0],
+}
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2024])
+def test_sample_and_holds_match_out_of_place_formulas(seed):
+    for regime, input_q in itertools.product(REGIME_SIGNS, QUADRANTS):
+        for b in analytic._points(regime, [(0.1, 0.9), (0.5, 0.5), (0.9, 0.3), (1.0, 1.0)]):
+            dx, dy, masks = analytic._sample(b, input_q, 4000, np.random.default_rng(seed))
+            want_dx, want_dy, want_masks = _sample_out_of_place(
+                b, input_q, 4000, np.random.default_rng(seed)
+            )
+            assert dx.tobytes() == want_dx.tobytes() and dy.tobytes() == want_dy.tobytes()
+            for q in QUADRANTS:
+                assert np.array_equal(masks[q], want_masks[q])
+                verdict = classify(regime, input_q, q)
+                for name in filter(None, (verdict.lower, verdict.upper)):
+                    got = analytic._BOUNDS[name](b, dx, dy)
+                    assert got.tobytes() == _BOUNDS_NEGATING_THE_SAMPLE[name](b, dx, dy).tobytes()

@@ -2,10 +2,11 @@ import csv
 import json
 import os
 
+import numpy as np
 import pytest
 
 from mgmarket import ModelConfig, engine, run
-from mgmarket.cli import dispatch
+from mgmarket.cli import _load_samples, dispatch
 
 
 def run_cli(*argv):
@@ -143,9 +144,18 @@ def test_runtime_error_exit_code():
          "mgmarket sweep: argument --k-values: expected finite numbers"),
         (["simulate", "--threads", "0"], "mgmarket simulate: argument --threads: expected a positive"),
         (["simulate", "--threads", "-3"], "mgmarket simulate: argument --threads: expected a positive"),
+        (["simulate", "--c1", "0", "--delta1", "1e308"],
+         "config.validate: uniform coupling c1=0.0, delta1=1e+308 has no finite support"),
+        (["simulate", "--c1", "1e308", "--delta1", "1e308"],
+         "config.validate: uniform coupling c1=1e+308, delta1=1e+308 has no finite support"),
+        (["sweep", "--experiment", "homogeneous", "--b1-min", "1e308", "--b1-max", "1e308",
+          "--b1-step", "1"], "config.validate: invalid axis for b1"),
+        (["sweep", "--experiment", "homogeneous", "--b1-min", "0", "--b1-max", "1",
+          "--b1-step", "1e-300"], "config.validate: invalid axis for b1"),
     ],
     ids=["initial-price-inf", "initial-price-nan", "b1-nan", "b1-inf", "event-k-nan", "delta1-inf",
-         "b1-step-nan", "b1-max-inf", "k-values-nan", "threads-0", "threads-negative"],
+         "b1-step-nan", "b1-max-inf", "k-values-nan", "threads-0", "threads-negative",
+         "uniform-width-overflow", "uniform-bound-overflow", "b1-axis-empty", "b1-step-tiny"],
 )
 def test_non_finite_or_nonpositive_flag_is_usage_error(monkeypatch, argv, message):
     def no_run(*_args):
@@ -346,6 +356,46 @@ def test_malformed_row_is_usage_error(tmp_path, verb, source, defect):
     assert outcome.exit_code == 1
     assert outcome.message.startswith(f"config.validate: {path}: line 4: malformed row")
     assert not report.exists()
+
+
+def _samples_by_row_tuples(paths):
+    """Reference grouping: each row a tuple of Python floats, one array per (stock, run)."""
+    per_stock = {1: [], 2: []}
+    for path in paths:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            if next(reader)[0] == "t":
+                arr = np.array([[float(r[col]) for col in (4, 2, 8, 6)] for r in reader])
+                per_stock[1].append((arr[:, 0], arr[:, 1]))
+                per_stock[2].append((arr[:, 2], arr[:, 3]))
+                continue
+            buckets = {}
+            for r in reader:
+                buckets.setdefault((int(r[0]), int(r[1])), []).append((float(r[3]), float(r[4])))
+            for (stock, _run), pairs in sorted(buckets.items()):
+                arr = np.array(pairs)
+                per_stock[stock].append((arr[:, 0], arr[:, 1]))
+    return per_stock
+
+
+def test_load_samples_matches_row_tuple_grouping(tmp_path):
+    scatter, traj = tmp_path / "scatter.csv", tmp_path / "traj.csv"
+    run_cli("simulate", *SMALL, "--runs", "3", "--c1", "0.3", "--delta1", "0.5",
+            "--scatter-out", str(scatter), "--out", str(traj))
+    header, *rows = scatter.read_text().splitlines()
+    # interleave every (stock, run) with the others, then split across two files
+    rows = [rows[i] for i in np.random.default_rng(5).permutation(len(rows))]
+    halves = tmp_path / "a.csv", tmp_path / "b.csv"
+    for path, part in zip(halves, (rows[: len(rows) // 2], rows[len(rows) // 2 :])):
+        path.write_text("\n".join([header, *part]) + "\n")
+    paths = [halves[0], traj, halves[1]]
+
+    loaded, expected = _load_samples(paths), _samples_by_row_tuples(paths)
+    assert [len(loaded[s]) for s in (1, 2)] == [3 + 1 + 3] * 2
+    for stock in (1, 2):
+        for got, want in zip(loaded[stock], expected[stock], strict=True):
+            for g, w in zip(got, want):
+                assert g.dtype == np.float64 and g.tobytes() == w.tobytes()
 
 
 def test_simulate_scatter_carries_run_index(tmp_path):

@@ -74,6 +74,19 @@ def test_non_finite_float_rejected(key, value):
         from_items(items)
 
 
+@pytest.mark.parametrize(
+    "c,delta", [(0.0, 1e308), (1e308, 1e308), (-1e308, 1e308)], ids=["width", "upper", "lower"]
+)
+def test_uniform_coupling_without_finite_support_rejected(c, delta):
+    for coupling in (UniformCoupling(c, delta, 0.0, 1.0), UniformCoupling(0.0, 1.0, c, delta)):
+        with pytest.raises(CoefficientOutOfRangeError, match="has no finite support"):
+            validate(ModelConfig(coupling=coupling))
+
+
+def test_widest_finite_uniform_support_accepted():
+    validate(ModelConfig(coupling=UniformCoupling(0.0, 8e307, 0.0, 1.0)))
+
+
 def test_round_trip_homogeneous():
     cfg = ModelConfig(coupling=HomogeneousCoupling(0.1 + 0.2, -0.30000000000000004))
     assert from_text(to_text(cfg)) == cfg

@@ -9,7 +9,6 @@ from mgmarket.sweep import (
     SCATTER_COLUMNS,
     cell_seed,
     grid_runs,
-    pooled_grid_samples,
     sweep_centers,
     sweep_events,
     sweep_homogeneous,
@@ -19,6 +18,12 @@ from mgmarket.sweep import (
 )
 
 from conftest import small_config
+
+
+def pooled(grid, stock_index):
+    """Every run's (expected, return) samples of one stock, in run-id order."""
+    xs, ys = zip(*(samples[stock_index] for _, samples in grid_runs(grid)))
+    return np.concatenate(xs), np.concatenate(ys)
 
 
 def tiny(**kw):
@@ -115,7 +120,7 @@ def test_scatter_rows_and_pooling():
     rows = [line.split(",") for line in lines[1:]]
     assert len(rows) == 2 * 2 * 40  # stocks x runs x steps
     assert {r[0] for r in rows} == {"1", "2"}
-    x, y = pooled_grid_samples(grid, 0)
+    x, y = pooled(grid, 0)
     assert len(x) == len(y) == 2 * 40
 
 
@@ -140,7 +145,7 @@ def test_scatter_run_ids_are_cell_major():
         assert (float(r[3]), float(r[4])) == (x[int(r[2]) - 1], y[int(r[2]) - 1])
 
     for stock in (0, 1):
-        x, y = pooled_grid_samples(grid, stock)
+        x, y = pooled(grid, stock)
         assert x.tolist() == [v for _, s in runs for v in s[stock][0].tolist()]
         assert y.tolist() == [v for _, s in runs for v in s[stock][1].tolist()]
 
@@ -149,8 +154,6 @@ def test_scatter_requires_collection():
     grid = sweep_homogeneous(tiny(), b1_values=[0.5], b2_values=[0.5])
     with pytest.raises(ValueError):
         grid_runs(grid)
-    with pytest.raises(ValueError):
-        pooled_grid_samples(grid, 0)
 
 
 def test_sweep_signs_match_analytic_prediction():
