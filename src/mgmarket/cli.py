@@ -216,8 +216,10 @@ def _axis_from_flags(args, name: str, default: np.ndarray) -> np.ndarray:
     stop = hi + step / 2
     # arange makes ceil((stop - lo) / step) points: none when rounding at hi
     # swallows step / 2, and more than a grid can run when step is tiny
+    # np.round scales every point by 1e10, which must stay finite too
     if (not np.isfinite([lo, hi, step]).all() or step <= 0 or hi < lo
-            or not 0 < (stop - lo) / step <= _MAX_AXIS_POINTS):
+            or not 0 < (stop - lo) / step <= _MAX_AXIS_POINTS
+            or not math.isfinite(max(abs(lo), abs(stop)) * 1e10)):
         raise ConfigError(f"invalid axis for {name}: min={lo} max={hi} step={step}")
     return np.round(np.arange(lo, stop, step), 10) + 0.0
 

@@ -135,6 +135,13 @@ def validate(config: ModelConfig) -> ModelConfig:
                     f"uniform coupling c{j}={c}, delta{j}={d} has no finite support"
                     f" [c{j} - delta{j}, c{j} + delta{j}]"
                 )
+    # the engine averages the agents' couplings, so their sum must stay finite
+    for key in ("b1", "b2") if isinstance(config.coupling, HomogeneousCoupling) else ("c1", "c2"):
+        value = getattr(config.coupling, key)
+        if not math.isfinite(abs(value) * config.n_agents):
+            raise CoefficientOutOfRangeError(
+                f"{key}={value} summed over {config.n_agents} agents overflows"
+            )
     return config
 
 

@@ -5,7 +5,9 @@ Step protocol (main loop), using only step t-1 data as inputs:
 
 1. each agent's expected return per stock from both stocks' lagged returns;
 2. information state per stock: last m return signs plus the expectation sign;
-3. each agent plays its highest-scoring strategy slot (ties uniform);
+3. each agent plays its highest-scoring strategy slot (ties uniform), scored
+   once per agent type (same tables and coupling); ``tiebreak:j`` is drawn
+   only when a tie can change the demand, else advanced past the draw;
 4. decisions sum to the internal excess demand; an external shock is added
    when the event model is active;
 5. price and log return update from the total demand;
@@ -82,6 +84,22 @@ def build_components(config: ModelConfig, run_index: int) -> RunComponents:
     )
 
 
+def _agent_types(tables: np.ndarray, b: np.ndarray) -> tuple:
+    """One stock's agent types (equal bytes of tables and b) by first agent: their
+    tables, b and counts, and each agent's type; the agents when no two share one."""
+    n = len(b)
+    if len(set(b.tolist())) < n:
+        key = np.concatenate([tables.reshape(n, -1).view(np.uint8), b[:, None].view(np.uint8)], 1)
+        rows = key.view(np.dtype((np.void, key.shape[1])))[:, 0].tolist()
+        number: dict[bytes, int] = {}
+        type_of = np.array([number.setdefault(row, len(number)) for row in rows])
+        if len(number) < n:
+            # the running maximum of the numbers steps up at each type's first agent
+            first = np.flatnonzero(np.diff(np.maximum.accumulate(type_of), prepend=-1))
+            return tables[first], b[first], np.bincount(type_of), type_of
+    return tables, b, None, None
+
+
 def simulate_trajectory(
     config: ModelConfig,
     components: RunComponents,
@@ -97,9 +115,6 @@ def simulate_trajectory(
     total_steps = warm + horizon
     a_own = config.a
     hist_mask = (1 << m) - 1
-    # flat index of each agent's entry in slot 0 of a slot-major
-    # (slots, agents) decision array; slot k adds k * n
-    agent_ids = np.arange(n)
 
     prices = [np.empty(total_steps) for _ in range(2)]
     returns = [np.empty(total_steps) for _ in range(2)]
@@ -109,8 +124,6 @@ def simulate_trajectory(
     prev_price = [config.initial_price, config.initial_price]
     last_return = [0.0, 0.0]
     hist = [0, 0]
-    # slot-major, so every per-slot column the kernels touch is contiguous
-    scores = np.zeros((2, s_slots, n))
 
     def advance(j: int, step: int, a_int: int, a_ext: float) -> float:
         a_total = a_int + a_ext
@@ -135,28 +148,38 @@ def simulate_trajectory(
 
     b_per_stock = components.couplings
     mean_b = (float(b_per_stock[0].mean()), float(b_per_stock[1].mean()))
-    tables = components.tables
     tiebreak_rngs = components.tiebreak_rngs
     event_rngs = components.event_rngs
-    stock_scores = (scores[0].T, scores[1].T)
-    # per-step scratch, reused by both stocks: state_idx is consumed by
-    # decide_all_slots before the next stock
-    expected = np.empty(n)
-    e_bits = np.empty(n, dtype=bool)
-    state_idx = np.empty(n, dtype=np.int64)
+    tables, b_rows, counts, type_of = zip(*map(_agent_types, components.tables, b_per_stock))
+    n_rows = [len(b) for b in b_rows]
+    # slot k of row i is entry i + k * rows of a slot-major decision array
+    row_ids = [np.arange(k) for k in n_rows]
+    # slot-major, so every per-slot column the kernels touch is contiguous
+    stock_scores = [np.zeros((s_slots, k)).T for k in n_rows]
+    expected, e_bits, state_idx = ([np.empty(k, d) for k in n_rows] for d in (float, bool, np.int64))
     for t in range(horizon):
         step = warm + t
         lag = tuple(last_return)
         for j in (0, 1):
-            np.multiply(b_per_stock[j], lag[1 - j], out=expected)
-            expected += a_own[j] * lag[j]
-            np.greater_equal(expected, 0.0, out=e_bits)
-            np.add(e_bits, hist[j] << 1, out=state_idx)
+            np.multiply(b_rows[j], lag[1 - j], out=expected[j])
+            expected[j] += a_own[j] * lag[j]
+            np.greater_equal(expected[j], 0.0, out=e_bits[j])
+            np.add(e_bits[j], hist[j] << 1, out=state_idx[j])
 
-            slot = scoring.select_slots(stock_scores[j], tiebreak_rngs[j])
-            decisions = strategy.decide_all_slots(tables[j], state_idx)
-            played = decisions.T.reshape(-1)[agent_ids + slot * n]
-            a_int = market.excess_demand(played)
+            decisions = strategy.decide_all_slots(tables[j], state_idx[j])
+            shared = counts[j] is not None
+            slot = scoring.select_slots(stock_scores[j], decisions if shared else tiebreak_rngs[j])
+            if shared and slot.min() < 0:
+                # a tie changes the demand: each agent takes its top slot of most jitter
+                own = stock_scores[j][type_of[j]]
+                top = own == own.max(axis=1, keepdims=True)
+                jitter = np.where(top, tiebreak_rngs[j].random((n, s_slots)), -1.0)
+                a_int = market.excess_demand(decisions[type_of[j], jitter.argmax(axis=1)])
+            else:
+                if shared:  # no tie changes it: skip the draw, not its stream
+                    tiebreak_rngs[j].bit_generator.advance(n * s_slots)
+                played = decisions.T.reshape(-1)[row_ids[j] + slot * n_rows[j]]
+                a_int = market.excess_demand(played, counts[j])
             a_ext = 0.0
             if shock_amplitudes is not None:
                 a_ext = market.external_demand(

@@ -20,9 +20,10 @@ import numpy as np
 from .errors import NonPositivePriceError
 
 
-def excess_demand(decisions) -> int:
-    """Exact integer sum of all agents' decisions for one stock."""
-    return int(np.asarray(decisions).sum())
+def excess_demand(decisions, counts=None) -> int:
+    """Exact integer sum of all agents' decisions for one stock; with
+    ``counts``, each decision is made by that many agents (an agent type)."""
+    return int(np.asarray(decisions).sum() if counts is None else counts @ decisions)
 
 
 def external_demand(probability: float, amplitude: float, rng: np.random.Generator) -> float:

@@ -7,7 +7,9 @@ minority-rewarding and linear in the demand imbalance: a slot on the minority
 side of the excess demand gains in proportion to the imbalance it traded
 against, the majority side loses the same amount, holds score zero.  Each
 step the agent plays its highest-scoring slot, ties broken uniformly at
-random.
+random.  Agents of one type (same tables and coupling) keep bit-identical
+scores; when no type's tied top slots decide differently, no draw can change
+the demand, and PCG64's ``advance`` leaves the stream where the draw would.
 
 The linear payoff keeps the crowd's adaptation gradual: score gaps scale with
 the imbalances a strategy traded through, so strategy rankings spread out
@@ -31,35 +33,39 @@ def update_scores(scores: np.ndarray, slot_decisions: np.ndarray, total_demand: 
         scores -= float(total_demand) * slot_decisions
 
 
-def select_slots(scores: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Per-agent index of a maximal score, ties uniform.
+def select_slots(scores: np.ndarray, tiebreak) -> np.ndarray:
+    """Per-row (agent or agent type) index of a maximal score, ties uniform.
 
-    Draws one jitter value per (agent, slot) every call, so stream consumption
-    is a fixed function of the shape; the jitter only ranks exactly tied slots
-    and can never reorder distinct scores.
+    With the tie-break generator as ``tiebreak``, one jitter value is drawn
+    per (row, slot) every call, so stream consumption is a fixed function of
+    the shape; the choice is argmax over slots of ``jitter`` among the slots
+    at the row's top score.  With the rows' (rows, slots) decisions, nothing
+    is drawn: a row takes its first top slot, or ``-1`` where another top
+    slot decides differently.
 
-    The choice is argmax over slots of the key ``jitter`` where the slot's
-    score equals the agent's top score and ``-1`` elsewhere.  It is computed
-    as a tournament over the slot columns, each an (agents,) vector, because
-    the slot axis is only a few entries wide and elementwise operations along
-    the agent axis cost less than reductions over axis 1.  The running winner
-    carries its score ``best`` and its jitter ``best_key``; column k takes
-    over where its score is strictly higher, or equal with a strictly greater
-    jitter.  That keeps the winner at the top score, with the greatest jitter
-    among the slots tied there and the earliest slot on equal jitter, which
-    is argmax's first-occurrence rule; the result is the argmax index bit for
-    bit.  Scores passed as the transpose of a slot-major (slots, agents)
-    array make every column a contiguous row.
+    Both run as a tournament over the slot columns, each a contiguous (rows,)
+    vector when scores are the transpose of a slot-major array: elementwise
+    operations along the rows cost less than reductions over the few slots.
+    Column k takes over from the winner where its score is strictly higher
+    or, with jitter, equal with a strictly greater jitter, which is argmax's
+    first-occurrence rule bit for bit.  A row is unsettled where a column
+    ties the winner with another decision and no later column beats it.
     """
-    jitter = rng.random(scores.shape)
+    drawn = isinstance(tiebreak, np.random.Generator)
+    keys = tiebreak.random(scores.shape).T if drawn else tiebreak.T
     n_slots = scores.shape[1]
     if n_slots == 1:
         return np.zeros(len(scores), dtype=np.intp)
-    columns, keys = scores.T, jitter.T
+    columns = scores.T
     best, best_key = columns[0], keys[0]
     for k in range(1, n_slots):
         column, key = columns[k], keys[k]
-        take = (column > best) | ((column == best) & (key > best_key))
+        take = column > best
+        if drawn:
+            take |= (column == best) & (key > best_key)
+        else:
+            clash = (column == best) & (key != best_key)
+            unsettled = clash if k == 1 else (unsettled & ~take) | clash
         if k == 1:
             slot = take.astype(np.intp)
         else:
@@ -67,5 +73,6 @@ def select_slots(scores: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         if k + 1 < n_slots:
             best = np.where(take, column, best)
             best_key = np.where(take, key, best_key)
+    if not drawn:
+        np.putmask(slot, unsettled, -1)
     return slot
-

@@ -1,10 +1,14 @@
 import csv
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mgmarket
 from mgmarket import ModelConfig, engine, run
 from mgmarket.cli import _load_samples, dispatch
 
@@ -165,6 +169,26 @@ def test_non_finite_or_nonpositive_flag_is_usage_error(monkeypatch, argv, messag
     outcome = run_cli(*argv, "--n-agents", "31", "--horizon", "20", "--runs", "1")
     assert outcome.exit_code == 1
     assert outcome.message.startswith(message)
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["simulate", "--b1", "1e308", "--runs", "1"],
+         "config.validate: b1=1e+308 summed over 1001 agents overflows"),
+        (["sweep", "--experiment", "homogeneous", "--b1-min", "1e300", "--b1-max", "2e300",
+          "--b1-step", "1e300"], "config.validate: invalid axis for b1: min=1e+300"),
+    ],
+    ids=["coupling-sum", "axis-rounding"],
+)
+def test_overflowing_value_exits_1_without_a_warning(argv, message):
+    # in a fresh interpreter, so a numpy RuntimeWarning would reach stderr
+    env = dict(os.environ, PYTHONPATH=str(Path(mgmarket.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "mgmarket.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(message)
+    assert "Warning" not in proc.stderr
 
 
 def test_mixing_coupling_flags_rejected():

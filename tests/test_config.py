@@ -87,6 +87,23 @@ def test_widest_finite_uniform_support_accepted():
     validate(ModelConfig(coupling=UniformCoupling(0.0, 8e307, 0.0, 1.0)))
 
 
+@pytest.mark.parametrize(
+    "key,coupling",
+    [("b1", HomogeneousCoupling(1e308, 0.5)), ("b2", HomogeneousCoupling(0.5, -1e306)),
+     ("c1", UniformCoupling(-1e306, 0.0, 0.0, 1.0)), ("c2", UniformCoupling(0.0, 1.0, 1e308, 1.0))],
+    ids=["b1", "b2", "c1", "c2"],
+)
+def test_coupling_whose_agent_sum_overflows_rejected(key, coupling):
+    # the engine's mean of the n_agents couplings would overflow
+    message = f"^{key}=.* summed over 1001 agents overflows"
+    with pytest.raises(CoefficientOutOfRangeError, match=message):
+        validate(ModelConfig(coupling=coupling))
+
+
+def test_largest_coupling_with_finite_agent_sum_accepted():
+    validate(ModelConfig(coupling=HomogeneousCoupling(1.7e305, -1.7e305)))
+
+
 def test_round_trip_homogeneous():
     cfg = ModelConfig(coupling=HomogeneousCoupling(0.1 + 0.2, -0.30000000000000004))
     assert from_text(to_text(cfg)) == cfg

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from dataclasses import replace
+from dataclasses import fields, replace
 from hypothesis import given, reject, settings, strategies as st
 
 from mgmarket import (
@@ -13,7 +13,9 @@ from mgmarket import (
     run,
     run_many,
 )
+from mgmarket import engine, seeding
 from mgmarket.engine import build_components, simulate_trajectory
+from mgmarket.market import StockSeries
 
 from conftest import small_config
 from reference_engine import single_asset_demands, two_stock_demands
@@ -79,6 +81,24 @@ def test_decoupled_matches_single_asset_reference():
         assert result.market.stocks[j].internal_demand.tolist() == ref
 
 
+def test_decoupled_paper_size_matches_single_asset_reference():
+    # at b1 = b2 = 0 and paper N each stock is its own standard minority game
+    cfg = ModelConfig(horizon=200, coupling=HomogeneousCoupling(0.0, 0.0), master_seed=17)
+    result = run(cfg, 0)
+    for j, stock in ((0, 1), (1, 2)):
+        ref = single_asset_demands(
+            cfg.n_agents, cfg.memory, cfg.n_strategies, cfg.horizon,
+            cfg.initial_price, cfg.a[j], cfg.master_seed, 0, stock,
+        )
+        assert result.market.stocks[j].internal_demand.tolist() == ref
+    # nothing of stock 2 reaches stock 1
+    other = run(replace(cfg, a=(cfg.a[0], 0.3)), 0)
+    ours, theirs = result.market.stocks, other.market.stocks
+    assert ours[1].mean_expectation.tobytes() != theirs[1].mean_expectation.tobytes()
+    for field in fields(StockSeries):
+        assert getattr(ours[0], field.name).tobytes() == getattr(theirs[0], field.name).tobytes()
+
+
 @pytest.mark.parametrize(
     "memory,in_bounds",
     [
@@ -142,6 +162,59 @@ def test_engine_matches_two_stock_reference(memory, b1, b2):
 )
 def test_engine_matches_oracle_across_axes(overrides):
     _assert_engine_matches_oracle(small_config(**{"n_agents": 21, "horizon": 40, **overrides}), 1)
+
+
+def _shared_types(components):
+    """Per stock, whether two agents share a type (the kernel's counts are
+    None when none do)."""
+    return [engine._agent_types(t, b)[2] is not None
+            for t, b in zip(components.tables, components.couplings)]
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [dict(), dict(allow_hold=True),
+     dict(events=EventModel(0.1, 2.0), coupling=HomogeneousCoupling(0.6, -0.4))],
+    ids=["binary", "hold", "events"],
+)
+def test_engine_matches_oracle_with_shared_agent_types(monkeypatch, overrides):
+    # homogeneous couplings at N=201 give agent types of several agents each;
+    # a step whose ties cannot change the demand advances the tie-break stream
+    # without a draw, the others draw, and the run must use both
+    cfg = small_config(n_agents=201, horizon=80, **overrides)
+    _assert_engine_matches_oracle(cfg, 0)
+    assert _shared_types(build_components(cfg, 0)) == [True, True]
+    draws = []
+
+    class Counting(np.random.Generator):
+        def random(self, *args, **kwargs):
+            draws.append(args)
+            return super().random(*args, **kwargs)
+
+    stream = seeding.stream
+    monkeypatch.setattr(seeding, "stream", lambda seed, run_index, label: (
+        Counting(stream(seed, run_index, label).bit_generator) if label.startswith(seeding.TIEBREAK)
+        else stream(seed, run_index, label)))
+    run(cfg, 0)
+    passes = 1 if cfg.events is None else 2
+    assert 0 < len(draws) < 2 * cfg.horizon * passes
+
+
+@pytest.mark.parametrize(
+    "coupling,shared",
+    [(HomogeneousCoupling(0.5, -0.3), True), (UniformCoupling(0.0, 1.0, 0.2, 0.5), False)],
+    ids=["shared-types", "distinct-agents"],
+)
+def test_tiebreak_streams_end_where_per_agent_draws_leave_them(coupling, shared):
+    cfg = small_config(coupling=coupling)
+    comps = build_components(cfg, 0)
+    assert _shared_types(comps) == [shared, shared]
+    simulate_trajectory(cfg, comps)
+    for stock, rng in zip((1, 2), comps.tiebreak_rngs):
+        fresh = seeding.stream(cfg.master_seed, 0, seeding.stock_label(seeding.TIEBREAK, stock))
+        for _ in range(cfg.horizon):
+            fresh.random((cfg.n_agents, cfg.n_strategies))
+        assert rng.bit_generator.state == fresh.bit_generator.state
 
 
 def test_oracle_meets_zero_returns_and_expectations():

@@ -23,6 +23,14 @@ def test_excess_demand_minimal_majority():
     assert excess_demand(decisions) == 1
 
 
+def test_excess_demand_of_agent_types_counts_each_type_member():
+    decisions = np.array([1, -1, 0, 1], dtype=np.int8)
+    counts = np.array([300, 2, 7, 1])
+    demand = excess_demand(decisions, counts)
+    assert type(demand) is int
+    assert demand == excess_demand(np.repeat(decisions, counts)) == 299
+
+
 def test_excess_demand_balanced_with_holds():
     decisions = np.array([1] * 300 + [-1] * 300 + [0] * 401)
     assert excess_demand(decisions) == 0

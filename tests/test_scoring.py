@@ -147,3 +147,36 @@ def test_update_scores_on_slot_major_views_matches_row_major(data, shape):
     update_scores(slot_major, np.ascontiguousarray(decisions.T).T, demand)
     assert slot_major.flags.f_contiguous
     assert slot_major.tobytes() == row_major.tobytes()
+
+
+def _no_draw_choice(scores, decisions):
+    """Per row: the first top slot, or -1 when a tied top slot decides
+    differently, by plain loops."""
+    out = []
+    for row, row_decisions in zip(scores.tolist(), decisions.tolist()):
+        tied = [k for k, score in enumerate(row) if score == max(row)]
+        settled = all(row_decisions[k] == row_decisions[tied[0]] for k in tied)
+        out.append(tied[0] if settled else -1)
+    return out
+
+
+@given(data=st.data(), shape=SHAPES, seed=st.integers(0, 2**32 - 1), transposed=st.booleans())
+def test_select_slots_without_draw_settles_rows_no_draw_can_change(data, shape, seed, transposed):
+    scores = data.draw(hnp.arrays(np.float64, shape, elements=st.integers(-2, 2).map(float)))
+    decisions = data.draw(hnp.arrays(np.int8, shape, elements=st.sampled_from((-1, 0, 1))))
+    if transposed:  # slot-major, as the engine keeps both
+        scores, decisions = (np.ascontiguousarray(x.T).T for x in (scores, decisions))
+    slot = select_slots(scores, decisions)
+    assert slot.dtype == np.intp
+    assert slot.tolist() == _no_draw_choice(scores, decisions)
+    # a settled row plays what the jitter draw would have made it play
+    drawn = select_slots(scores, np.random.default_rng(seed))
+    rows = np.flatnonzero(slot >= 0)
+    assert np.array_equal(decisions[rows, slot[rows]], decisions[rows, drawn[rows]])
+
+
+def test_select_slots_without_draw_examples():
+    scores = np.array([[1.0, 3.0, 3.0], [3.0, 3.0, 1.0], [3.0, 3.0, 5.0], [2.0, 2.0, 2.0]])
+    decisions = np.array([[1, -1, -1], [1, -1, 1], [1, -1, 1], [0, 0, 1]], dtype=np.int8)
+    assert select_slots(scores, decisions).tolist() == [1, -1, 2, -1]
+    assert select_slots(np.array([[4.0], [-1.0]]), np.array([[1], [-1]])).tolist() == [0, 0]
