@@ -135,7 +135,7 @@ def validate(config: ModelConfig) -> ModelConfig:
                     f"uniform coupling c{j}={c}, delta{j}={d} has no finite support"
                     f" [c{j} - delta{j}, c{j} + delta{j}]"
                 )
-    # the engine averages the agents' couplings, so their sum must stay finite
+    # the agents' coupling sum must stay finite; the engine sums a uniform draw itself
     for key in ("b1", "b2") if isinstance(config.coupling, HomogeneousCoupling) else ("c1", "c2"):
         value = getattr(config.coupling, key)
         if not math.isfinite(abs(value) * config.n_agents):

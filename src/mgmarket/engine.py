@@ -31,6 +31,7 @@ deviation of each stock's internal demand, then re-runs with shocks enabled.
 from __future__ import annotations
 
 import functools
+import itertools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -38,7 +39,7 @@ import numpy as np
 
 from . import market, scoring, seeding, strategy
 from .config import ModelConfig, validate
-from .errors import NonPositivePriceError
+from .errors import CoefficientOutOfRangeError, NonPositivePriceError
 from .expectation import sample_couplings
 from .market import MarketState, StockSeries
 from .stats import pearson
@@ -84,20 +85,18 @@ def build_components(config: ModelConfig, run_index: int) -> RunComponents:
     )
 
 
-def _agent_types(tables: np.ndarray, b: np.ndarray) -> tuple:
-    """One stock's agent types (equal bytes of tables and b) by first agent: their
-    tables, b and counts, and each agent's type; the agents when no two share one."""
-    n = len(b)
-    if len(set(b.tolist())) < n:
-        key = np.concatenate([tables.reshape(n, -1).view(np.uint8), b[:, None].view(np.uint8)], 1)
-        rows = key.view(np.dtype((np.void, key.shape[1])))[:, 0].tolist()
-        number: dict[bytes, int] = {}
-        type_of = np.array([number.setdefault(row, len(number)) for row in rows])
-        if len(number) < n:
-            # the running maximum of the numbers steps up at each type's first agent
-            first = np.flatnonzero(np.diff(np.maximum.accumulate(type_of), prepend=-1))
-            return tables[first], b[first], np.bincount(type_of), type_of
-    return tables, b, None, None
+def _agent_types(tables: np.ndarray, b: np.ndarray, values) -> tuple:
+    """With one coupling and fewer possible tables over ``values`` (ascending)
+    than agents, every such (slots, rows) table in code order, its coupling and
+    agent count, and each agent's code: a count fixed by the config.  Else the
+    agents."""
+    n, s, rows = tables.shape
+    if len(values) ** (s * rows) >= n or not (b == b[0]).all():
+        return tables, b, None, None
+    every = np.array(list(itertools.product(values, repeat=s * rows)), tables.dtype)
+    type_of = np.searchsorted(values, tables.reshape(n, -1)) @ len(values) ** np.arange(s * rows)[::-1]
+    counts = np.bincount(type_of, minlength=len(every))
+    return every.reshape(-1, s, rows), np.full(len(every), b[0]), counts, type_of
 
 
 def simulate_trajectory(
@@ -146,48 +145,48 @@ def simulate_trajectory(
             played = components.warmup_decisions[j][w]
             advance(j, w, market.excess_demand(played), 0.0)
 
-    b_per_stock = components.couplings
-    mean_b = (float(b_per_stock[0].mean()), float(b_per_stock[1].mean()))
-    tiebreak_rngs = components.tiebreak_rngs
-    event_rngs = components.event_rngs
-    tables, b_rows, counts, type_of = zip(*map(_agent_types, components.tables, b_per_stock))
-    n_rows = [len(b) for b in b_rows]
-    # slot k of row i is entry i + k * rows of a slot-major decision array
-    row_ids = [np.arange(k) for k in n_rows]
-    # slot-major, so every per-slot column the kernels touch is contiguous
-    stock_scores = [np.zeros((s_slots, k)).T for k in n_rows]
-    expected, e_bits, state_idx = ([np.empty(k, d) for k in n_rows] for d in (float, bool, np.int64))
+    try:
+        with np.errstate(over="raise"):  # refuse, not warn, a sum past the float range
+            mean_b = [float(b.mean()) for b in components.couplings]
+    except FloatingPointError:
+        raise CoefficientOutOfRangeError(f"couplings summed over {n} agents overflow") from None
+    stocks = []
+    for j, tables, b in zip((0, 1), components.tables, components.couplings):
+        tables, b, counts, type_of = _agent_types(tables, b, config.decision_set)
+        k = len(b)  # slot-major: slot s of row i is entry i + s * k, each column contiguous
+        stocks.append((j, tables, b, np.zeros((s_slots, k)).T, counts, type_of, np.arange(k),
+                       np.empty(k), np.empty(k, dtype=bool), np.empty(k, dtype=np.int64),
+                       components.tiebreak_rngs[j], components.event_rngs[j]))
     for t in range(horizon):
         step = warm + t
         lag = tuple(last_return)
-        for j in (0, 1):
-            np.multiply(b_rows[j], lag[1 - j], out=expected[j])
-            expected[j] += a_own[j] * lag[j]
-            np.greater_equal(expected[j], 0.0, out=e_bits[j])
-            np.add(e_bits[j], hist[j] << 1, out=state_idx[j])
+        for j, tables, b, scores, counts, type_of, rows, expected, e_bits, state, rng, events in stocks:
+            np.multiply(b, lag[1 - j], out=expected)
+            expected += a_own[j] * lag[j]
+            np.greater_equal(expected, 0.0, out=e_bits)
+            np.add(e_bits, hist[j] << 1, out=state)
 
-            decisions = strategy.decide_all_slots(tables[j], state_idx[j])
-            shared = counts[j] is not None
-            slot = scoring.select_slots(stock_scores[j], decisions if shared else tiebreak_rngs[j])
-            if shared and slot.min() < 0:
-                # a tie changes the demand: each agent takes its top slot of most jitter
-                own = stock_scores[j][type_of[j]]
-                top = own == own.max(axis=1, keepdims=True)
-                jitter = np.where(top, tiebreak_rngs[j].random((n, s_slots)), -1.0)
-                a_int = market.excess_demand(decisions[type_of[j], jitter.argmax(axis=1)])
+            decisions = strategy.decide_all_slots(tables, state)
+            if counts is None:
+                slot = scoring.select_slots(scores, rng)
+                a_int = market.excess_demand(decisions.T.reshape(-1)[rows + slot * n])
             else:
-                if shared:  # no tie changes it: skip the draw, not its stream
-                    tiebreak_rngs[j].bit_generator.advance(n * s_slots)
-                played = decisions.T.reshape(-1)[row_ids[j] + slot * n_rows[j]]
-                a_int = market.excess_demand(played, counts[j])
+                slot = scoring.select_slots(scores, decisions)
+                if slot.min() < 0 and counts[slot < 0].any():
+                    # a tie changes the demand: each agent takes its top slot of most jitter
+                    own_slot = scoring.top_slots(scores[type_of], rng.random((n, s_slots)))
+                    a_int = market.excess_demand(decisions[type_of, own_slot])
+                else:  # skip the draw, not its stream; a type at -1 has no agents
+                    rng.bit_generator.advance(n * s_slots)
+                    a_int = market.excess_demand(decisions.T.reshape(-1)[rows + slot * len(b)], counts)
             a_ext = 0.0
             if shock_amplitudes is not None:
                 a_ext = market.external_demand(
-                    config.events.probability, shock_amplitudes[j], event_rngs[j]
+                    config.events.probability, shock_amplitudes[j], events
                 )
 
             a_total = advance(j, step, a_int, a_ext)
-            scoring.update_scores(stock_scores[j], decisions, a_total)
+            scoring.update_scores(scores, decisions, a_total)
 
     # the population-mean expectation standing after each step's returns,
     # i.e. the forecast agents carry into the next step

@@ -21,8 +21,7 @@ from .errors import NonPositivePriceError
 
 
 def excess_demand(decisions, counts=None) -> int:
-    """Exact integer sum of all agents' decisions for one stock; with
-    ``counts``, each decision is made by that many agents (an agent type)."""
+    """Exact integer sum of one stock's decisions, each by ``counts`` agents if given."""
     return int(np.asarray(decisions).sum() if counts is None else counts @ decisions)
 
 

@@ -36,36 +36,38 @@ def update_scores(scores: np.ndarray, slot_decisions: np.ndarray, total_demand: 
 def select_slots(scores: np.ndarray, tiebreak) -> np.ndarray:
     """Per-row (agent or agent type) index of a maximal score, ties uniform.
 
-    With the tie-break generator as ``tiebreak``, one jitter value is drawn
-    per (row, slot) every call, so stream consumption is a fixed function of
-    the shape; the choice is argmax over slots of ``jitter`` among the slots
-    at the row's top score.  With the rows' (rows, slots) decisions, nothing
-    is drawn: a row takes its first top slot, or ``-1`` where another top
-    slot decides differently.
-
-    Both run as a tournament over the slot columns, each a contiguous (rows,)
-    vector when scores are the transpose of a slot-major array: elementwise
-    operations along the rows cost less than reductions over the few slots.
-    Column k takes over from the winner where its score is strictly higher
-    or, with jitter, equal with a strictly greater jitter, which is argmax's
-    first-occurrence rule bit for bit.  A row is unsettled where a column
-    ties the winner with another decision and no later column beats it.
+    With the tie-break generator, one jitter value per (row, slot) is drawn
+    every call, a fixed function of the shape, and ranks the tied top slots;
+    with the rows' decisions, nothing is drawn (``clash`` below).  One entry
+    point, so each stock-step makes one call (perfbench's probes count them).
     """
-    drawn = isinstance(tiebreak, np.random.Generator)
-    keys = tiebreak.random(scores.shape).T if drawn else tiebreak.T
+    if isinstance(tiebreak, np.random.Generator):
+        return top_slots(scores, tiebreak.random(scores.shape))
+    return top_slots(scores, tiebreak, clash=True)
+
+
+def top_slots(scores: np.ndarray, keys: np.ndarray, clash: bool = False) -> np.ndarray:
+    """Per-row index of a maximal score: of the top slots, the one of greatest
+    ``keys``, the first on equal keys (argmax's rule, bit for bit).  With
+    ``clash``, ``keys`` are decisions: a row takes its first top slot, or
+    ``-1`` where another top slot decides differently.
+
+    A tournament over the slot columns, contiguous for the transpose of a
+    slot-major array: elementwise work beats reductions over a few slots.
+    """
     n_slots = scores.shape[1]
     if n_slots == 1:
         return np.zeros(len(scores), dtype=np.intp)
-    columns = scores.T
+    columns, keys = scores.T, keys.T
     best, best_key = columns[0], keys[0]
     for k in range(1, n_slots):
         column, key = columns[k], keys[k]
         take = column > best
-        if drawn:
-            take |= (column == best) & (key > best_key)
+        if clash:  # unsettled: a column ties the winner with another decision, none beats both later
+            tie = (column == best) & (key != best_key)
+            unsettled = tie if k == 1 else (unsettled & ~take) | tie
         else:
-            clash = (column == best) & (key != best_key)
-            unsettled = clash if k == 1 else (unsettled & ~take) | clash
+            take |= (column == best) & (key > best_key)
         if k == 1:
             slot = take.astype(np.intp)
         else:
@@ -73,6 +75,6 @@ def select_slots(scores: np.ndarray, tiebreak) -> np.ndarray:
         if k + 1 < n_slots:
             best = np.where(take, column, best)
             best_key = np.where(take, key, best_key)
-    if not drawn:
+    if clash:
         np.putmask(slot, unsettled, -1)
     return slot

@@ -178,8 +178,11 @@ def test_non_finite_or_nonpositive_flag_is_usage_error(monkeypatch, argv, messag
          "config.validate: b1=1e+308 summed over 1001 agents overflows"),
         (["sweep", "--experiment", "homogeneous", "--b1-min", "1e300", "--b1-max", "2e300",
           "--b1-step", "1e300"], "config.validate: invalid axis for b1: min=1e+300"),
+        # a finite centre, but the drawn couplings sum past the float range
+        (["simulate", "--c1", "0", "--delta1", "8e307", "--n-agents", "101", "--runs", "1"],
+         "config.validate: couplings summed over 101 agents overflow"),
     ],
-    ids=["coupling-sum", "axis-rounding"],
+    ids=["coupling-sum", "axis-rounding", "drawn-coupling-sum"],
 )
 def test_overflowing_value_exits_1_without_a_warning(argv, message):
     # in a fresh interpreter, so a numpy RuntimeWarning would reach stderr

@@ -164,26 +164,28 @@ def test_engine_matches_oracle_across_axes(overrides):
     _assert_engine_matches_oracle(small_config(**{"n_agents": 21, "horizon": 40, **overrides}), 1)
 
 
-def _shared_types(components):
-    """Per stock, whether two agents share a type (the kernel's counts are
-    None when none do)."""
-    return [engine._agent_types(t, b)[2] is not None
+def _shared_types(cfg, components):
+    """Per stock, whether the kernel scores agent types (its counts are None
+    when it scores the agents themselves)."""
+    return [engine._agent_types(t, b, cfg.decision_set)[2] is not None
             for t, b in zip(components.tables, components.couplings)]
 
 
 @pytest.mark.parametrize(
     "overrides",
-    [dict(), dict(allow_hold=True),
-     dict(events=EventModel(0.1, 2.0), coupling=HomogeneousCoupling(0.6, -0.4))],
+    [dict(n_agents=301, horizon=80), dict(n_agents=6563, horizon=30, allow_hold=True),
+     dict(n_agents=301, horizon=80, events=EventModel(0.1, 2.0),
+          coupling=HomogeneousCoupling(0.6, -0.4))],
     ids=["binary", "hold", "events"],
 )
 def test_engine_matches_oracle_with_shared_agent_types(monkeypatch, overrides):
-    # homogeneous couplings at N=201 give agent types of several agents each;
-    # a step whose ties cannot change the demand advances the tie-break stream
-    # without a draw, the others draw, and the run must use both
-    cfg = small_config(n_agents=201, horizon=80, **overrides)
+    # homogeneous couplings with more agents than possible tables (2^8 binary,
+    # 3^8 with holds at m=1, S=2) score each table once; a step whose ties
+    # cannot change the demand advances the tie-break stream without a draw,
+    # the others draw, and the run must use both
+    cfg = small_config(**overrides)
     _assert_engine_matches_oracle(cfg, 0)
-    assert _shared_types(build_components(cfg, 0)) == [True, True]
+    assert _shared_types(cfg, build_components(cfg, 0)) == [True, True]
     draws = []
 
     class Counting(np.random.Generator):
@@ -206,9 +208,9 @@ def test_engine_matches_oracle_with_shared_agent_types(monkeypatch, overrides):
     ids=["shared-types", "distinct-agents"],
 )
 def test_tiebreak_streams_end_where_per_agent_draws_leave_them(coupling, shared):
-    cfg = small_config(coupling=coupling)
+    cfg = small_config(n_agents=301, coupling=coupling)
     comps = build_components(cfg, 0)
-    assert _shared_types(comps) == [shared, shared]
+    assert _shared_types(cfg, comps) == [shared, shared]
     simulate_trajectory(cfg, comps)
     for stock, rng in zip((1, 2), comps.tiebreak_rngs):
         fresh = seeding.stream(cfg.master_seed, 0, seeding.stock_label(seeding.TIEBREAK, stock))

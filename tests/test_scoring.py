@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from mgmarket.scoring import select_slots, update_scores
+from mgmarket.scoring import select_slots, top_slots, update_scores
 
 from reference_engine import select_slots_argmax
 
@@ -102,6 +102,8 @@ def _assert_same_choice(scores, seed, transposed):
     assert got.tolist() == want.tolist()
     # both consumed the same draws
     assert ours.bit_generator.state == theirs.bit_generator.state
+    # the engine settles an agent of a tied type on the same rule, drawn apart
+    assert top_slots(scores, np.random.default_rng(seed).random(scores.shape)).tolist() == want.tolist()
 
 
 @given(data=st.data(), shape=SHAPES, seed=st.integers(0, 2**32 - 1), transposed=st.booleans())
