@@ -5,9 +5,9 @@ Step protocol (main loop), using only step t-1 data as inputs:
 
 1. each agent's expected return per stock from both stocks' lagged returns;
 2. information state per stock: last m return signs plus the expectation sign;
-3. each agent plays its highest-scoring strategy slot (ties uniform), scored
-   once per agent type (same tables and coupling); ``tiebreak:j`` is drawn
-   only when a tie can change the demand, else advanced past the draw;
+3. each agent plays its highest-scoring strategy slot (ties uniform); with one
+   coupling and fewer possible tables than agents, each table is scored once
+   and ``tiebreak:j`` drawn only when a tie can change the demand, else advanced;
 4. decisions sum to the internal excess demand; an external shock is added
    when the event model is active;
 5. price and log return update from the total demand;
