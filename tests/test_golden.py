@@ -71,6 +71,10 @@ CLI_GOLDEN = {
     "regress_traj.csv": "ffc9ba2db463eb056ab9909a93a631b7c320c4b02a9fbc0b2000723038a6d92b",
     "sweep_centers.csv": "15b2d893e4ee96b5a012fc5cfd0c9950ab0e1faa394f0a8d9b38fc6aa1207d35",
     "sweep_centers_scatter.csv": "c817e1e2374d747cd5a671e8547b6e7db06fcce5d1c093cbe09d625333937c3f",
+    "sweep_holding.csv": "3ab538e0b0e214295868a35b005322248bd0670a0e116299fae884c500c0dd9d",
+    "sweep_homogeneous.csv": "22135660b9ef4ecaea38324345982b140c37f177d205ff13146b7c03d8939af4",
+    "sweep_homogeneous_scatter.csv": "c0d5706cd20b39c0952d6cb6fc515c2d69f8258693c93d66f18c0f78dbe48cd6",
+    "sweep_ranges.csv": "7f77695a71ff5d1e86aa68c28d0774438ab4d12b6e30510892c22c418e7a3185",
     "sweep_events_k1.csv": "8e7d2ce664caee74091cfe94856cc94c5ddc88baa618be122d618845334cbabd",
     "sweep_events_k3.csv": "7646151a9f3bf57df31cf1e74b4b35e76a11ad77f533a1c68024e8f10b7a02f2",
     "sweep_events_scatter_k1.csv": "7ec1ddff673e9dc2b0497525637c43eea2687cfaccf71867a9026bfdf4ff3509",
@@ -106,6 +110,16 @@ def cli_outputs(tmp_path_factory):
          "--c1-min", "-0.5", "--c1-max", "0.5", "--c1-step", "1",
          "--c2-min", "0", "--c2-max", "0.5", "--c2-step", "0.5",
          "--out", path("sweep_centers.csv"), "--scatter-out", path("sweep_centers_scatter.csv"))
+    _cli("sweep", "--experiment", "homogeneous", *CLI_SMALL,
+         "--b2-min", "0.5", "--b2-max", "0.5", "--b2-step", "1",
+         "--out", path("sweep_homogeneous.csv"), "--scatter-out", path("sweep_homogeneous_scatter.csv"))
+    _cli("sweep", "--experiment", "holding", *CLI_SMALL, "--memory", "2", "--strategies", "3",
+         "--b1-min", "-0.5", "--b1-max", "0.5", "--b1-step", "1",
+         "--b2-min", "0.5", "--b2-max", "0.5", "--b2-step", "1",
+         "--out", path("sweep_holding.csv"))
+    _cli("sweep", "--experiment", "ranges", *CLI_SMALL, "--c1", "0.3", "--c2", "-0.2",
+         "--delta1-max", "2", "--delta2-min", "1.5", "--delta2-max", "1.5",
+         "--out", path("sweep_ranges.csv"))
     for verb in ("regress", "ar1"):
         _cli(verb, path("sweep_centers_scatter.csv"), "--out", path(f"{verb}_scatter.csv"))
         _cli(verb, path("events_traj.csv"), "--out", path(f"{verb}_traj.csv"))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mgmarket import HomogeneousCoupling, UniformCoupling
+from mgmarket import sweep
 from mgmarket.sweep import (
     GRID_COLUMNS,
     SCATTER_COLUMNS,
@@ -41,6 +42,21 @@ def test_homogeneous_grid_shape_and_bounds():
     empty = sweep_homogeneous(tiny(), b1_values=[], b2_values=[0.5], collect_samples=True)
     assert empty.rho_runs.shape == (0, 1, 2)
     assert empty.samples == []
+
+
+@pytest.mark.parametrize(
+    "plane,points",
+    [
+        ("homogeneous", "-1.0 -0.9 -0.8 -0.7 -0.6 -0.5 -0.4 -0.3 -0.2 -0.1 0.0"
+                        " 0.1 0.2 0.3 0.4 0.5 0.6 0.7 0.8 0.9 1.0"),
+        ("centers", "-1.0 -0.8 -0.6 -0.4 -0.2 0.0 0.2 0.4 0.6 0.8 1.0"),
+        ("ranges", "1.0 1.5 2.0 2.5 3.0 3.5 4.0 4.5 5.0"),
+    ],
+)
+def test_default_axes(plane, points):
+    # repr round-trips, so this pins every bit of every default point
+    axis = getattr(sweep, f"default_{plane}_axis")()
+    assert [repr(float(v)) for v in axis] == points.split()
 
 
 def test_cells_independent_of_grid_layout():
