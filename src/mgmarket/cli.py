@@ -200,16 +200,16 @@ def _cmd_simulate(args) -> CommandOutcome:
     return CommandOutcome(0)
 
 
-_SWEEP_AXES = ("b1", "b2", "c1", "c2", "delta1", "delta2")
+_SWEEP_AXES = tuple(key for fields, _ in sweep.EXPERIMENTS.values() for key in fields)
 _AXIS_PARTS = ("min", "max", "step")
 # far past any grid a sweep can run; a longer axis is a flag mistake
 _MAX_AXIS_POINTS = 10_000
 
 
-def _axis_from_flags(args, name: str, default: np.ndarray) -> np.ndarray:
+def _axis_from_flags(args, name: str, default: tuple[float, ...]) -> np.ndarray | None:
     lo, hi, step = (getattr(args, f"{name}_{part}") for part in _AXIS_PARTS)
     if lo is None and hi is None and step is None:
-        return default
+        return None
     lo = float(default[0] if lo is None else lo)
     hi = float(default[-1] if hi is None else hi)
     step = float(default[1] - default[0] if step is None else step)
@@ -229,50 +229,49 @@ def _grid_out_path(base: str, strength: float) -> str:
     return f"{root}_k{strength:g}{ext or '.csv'}"
 
 
-# experiment -> (sweep function name, axis flags, default axis).  The function
-# is looked up by name at call time, so a wrapper patched onto the sweep
-# module's attribute is the one called.
-_EXPERIMENTS = {
-    "homogeneous": ("sweep_homogeneous", ("b1", "b2"), sweep.default_homogeneous_axis),
-    "holding": ("sweep_homogeneous", ("b1", "b2"), sweep.default_homogeneous_axis),
-    "centers": ("sweep_centers", ("c1", "c2"), sweep.default_centers_axis),
-    "ranges": ("sweep_ranges", ("delta1", "delta2"), sweep.default_ranges_axis),
-    "events": ("sweep_events", ("b1", "b2"), sweep.default_homogeneous_axis),
-}
-
-
 def _cmd_sweep(args) -> CommandOutcome:
     config, _ = _resolve_config(args)
-    name, axis_flags, default_axis = _EXPERIMENTS[args.experiment]
+    # events and holding re-run the homogeneous plane
+    plane = args.experiment if args.experiment in sweep.EXPERIMENTS else "homogeneous"
+    fields, default = sweep.EXPERIMENTS[plane]
     unswept = [
         f"--{axis}-{part}"
         for axis in _SWEEP_AXES
         for part in _AXIS_PARTS
-        if axis not in axis_flags and getattr(args, f"{axis}_{part}") is not None
+        if axis not in fields and getattr(args, f"{axis}_{part}") is not None
     ]
     if unswept:
         raise ConfigError(f"--experiment {args.experiment} does not sweep {', '.join(unswept)}")
+    # a uniform plane reads the coupling fields it does not sweep from the
+    # template; the sweep overwrites every other coupling flag
+    reads = set() if plane == "homogeneous" else _UNIFORM_KEYS.difference(fields)
+    ignored = {f"--{key}": getattr(args, key) for key in _SWEEP_AXES if key not in reads}
     # an events sweep takes its strengths from --k-values; other sweeps run unshocked
-    shock_flags = {"--event-k": args.event_strength}
-    if args.experiment != "events":
-        shock_flags.update({"--k-values": args.k_values, "--event-p": args.event_probability})
-    refused = [flag for flag, value in shock_flags.items() if value is not None]
+    ignored["--event-k"] = args.event_strength
+    if args.experiment == "events":
+        ignored["--no-events"] = args.no_events or None
+    else:
+        ignored.update({"--k-values": args.k_values, "--event-p": args.event_probability})
+    if args.experiment == "holding":
+        ignored["--no-allow-hold"] = args.allow_hold is False or None
+        config = replace(config, allow_hold=True)
+    refused = [flag for flag, value in ignored.items() if value is not None]
     if refused:
         raise ConfigError(f"--experiment {args.experiment} does not take {', '.join(refused)}")
-    if args.experiment == "holding":
-        config = replace(config, allow_hold=True)
-    elif args.experiment in ("centers", "ranges"):
-        if not isinstance(config.coupling, UniformCoupling):
-            config = replace(config, coupling=DEFAULT_UNIFORM)
-    kwargs = {f"{flag}_values": _axis_from_flags(args, flag, default_axis()) for flag in axis_flags}
+    names = [_grid_out_path("", k) for k in args.k_values or ()]
+    if len(set(names)) < len(names):
+        k_values = ",".join(map(repr, args.k_values))
+        raise ConfigError(f"--k-values {k_values} would write two grids to one file")
+    if plane != "homogeneous" and not isinstance(config.coupling, UniformCoupling):
+        config = replace(config, coupling=DEFAULT_UNIFORM)
+    axes = tuple(_axis_from_flags(args, key, default) for key in fields)
+    collect = args.scatter_out is not None
     if args.experiment == "events":
-        kwargs["probability"] = args.event_probability
-        if args.k_values:
-            kwargs["k_values"] = args.k_values
-    result = getattr(sweep, name)(
-        config, threads=args.threads, collect_samples=args.scatter_out is not None, **kwargs
-    )
-    grids: list[sweep.SweepGrid] = result if isinstance(result, list) else [result]
+        k_values = args.k_values or sweep.DEFAULT_K_VALUES
+        grids = sweep.sweep_events(config, k_values, *axes, threads=args.threads,
+                                   collect_samples=collect)
+    else:
+        grids = [sweep._sweep(config, plane, axes, args.threads, collect)]
 
     for grid in grids:
         # only an events sweep returns more than one grid
@@ -405,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--experiment",
         required=True,
-        choices=["homogeneous", "centers", "ranges", "events", "holding"],
+        choices=[*sweep.EXPERIMENTS, "events", "holding"],
     )
     for axis in _SWEEP_AXES:
         for part in _AXIS_PARTS:

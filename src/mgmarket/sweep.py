@@ -7,7 +7,8 @@ independent of execution order, identical cells in different experiments are
 bit-identical, and event-strength variants of the same cell share all
 non-event randomness (making strength comparisons paired).
 
-Experiments:
+Experiments; :data:`EXPERIMENTS` names the two swept coupling fields and the
+default axis of each of the first three, the coupling planes:
 
 * homogeneous  -- shared coupling weights (b1, b2) on a square grid;
 * centers      -- per-agent uniform couplings, sweeping the centers (c1, c2);
@@ -21,7 +22,7 @@ from __future__ import annotations
 import csv
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -37,18 +38,14 @@ from .config import (
 from .seeding import fold_seed
 
 DEFAULT_EVENT_PROBABILITY = 0.0082
+DEFAULT_K_VALUES = (1.0, 2.0, 3.0, 4.0)
 
-
-def default_homogeneous_axis() -> np.ndarray:
-    return np.round(np.linspace(-1.0, 1.0, 21), 10) + 0.0
-
-
-def default_centers_axis() -> np.ndarray:
-    return np.round(np.linspace(-1.0, 1.0, 11), 10) + 0.0
-
-
-def default_ranges_axis() -> np.ndarray:
-    return np.round(np.linspace(1.0, 5.0, 9), 10) + 0.0
+# plane -> (the two coupling fields it sweeps, their default axis)
+EXPERIMENTS = {
+    "homogeneous": (("b1", "b2"), tuple(np.round(np.linspace(-1.0, 1.0, 21), 10) + 0.0)),
+    "centers": (("c1", "c2"), tuple(np.round(np.linspace(-1.0, 1.0, 11), 10) + 0.0)),
+    "ranges": (("delta1", "delta2"), tuple(np.round(np.linspace(1.0, 5.0, 9), 10) + 0.0)),
+}
 
 
 def cell_seed(master_seed: int, coupling: Coupling) -> int:
@@ -103,30 +100,35 @@ def _cell_task(args) -> tuple[float, Optional[RunSamples]]:
     return result.correlation, samples
 
 
-def _axes(values: tuple, default) -> tuple[np.ndarray, ...]:
-    """The two axes of a sweep; ``default()`` stands in for values of None."""
-    return tuple(np.asarray(default() if v is None else v, dtype=float) for v in values)
-
-
 def _sweep(
-    base: ModelConfig,
-    axes: tuple[np.ndarray, ...],
-    coupling_of: Callable[[float, float], Coupling],
+    base_config: ModelConfig,
+    plane: str,
+    values: tuple[Optional[Sequence[float]], Optional[Sequence[float]]],
     threads: Optional[int],
     collect_samples: bool,
+    events: Optional[EventModel] = None,
 ) -> SweepGrid:
-    """Run ``base.n_runs`` runs at every cell of the ``axes`` plane.
+    """Run ``base_config.n_runs`` runs with ``events`` at every cell of ``plane``.
 
-    The cell at (v1, v2) is ``base`` with coupling ``coupling_of(v1, v2)``
-    and the master seed :func:`cell_seed` folds from that coupling.
+    ``values`` are the swept fields' axes, None for the default.  A cell sets them
+    on a homogeneous or the base's uniform coupling, seeded by :func:`cell_seed`.
     """
+    validate(base_config)
+    fields, default = EXPERIMENTS[plane]
+    template = base_config.coupling
+    if plane == "homogeneous":
+        template = HomogeneousCoupling(0.0, 0.0)
+    elif not isinstance(template, UniformCoupling):
+        raise ValueError(f"{plane} sweep requires a uniform coupling template")
+    axes = tuple(np.asarray(default if v is None else v, dtype=float) for v in values)
+    base = replace(base_config, events=events)
     t0 = time.monotonic()
     n1, n2 = map(len, axes)
     n_runs = base.n_runs
     tasks = []
     for v1 in axes[0]:
         for v2 in axes[1]:
-            coupling = coupling_of(float(v1), float(v2))
+            coupling = replace(template, **{fields[0]: float(v1), fields[1]: float(v2)})
             seed = cell_seed(base.master_seed, coupling)
             cell = replace(base, coupling=coupling, master_seed=seed)
             tasks += [(cell, run, collect_samples) for run in range(n_runs)]
@@ -142,7 +144,7 @@ def _sweep(
         axes=axes,
         rho_runs=rho,
         elapsed_seconds=time.monotonic() - t0,
-        event_strength=None if base.events is None else base.events.strength,
+        event_strength=None if events is None else events.strength,
         samples=samples,
     )
 
@@ -155,10 +157,7 @@ def sweep_homogeneous(
     collect_samples: bool = False,
 ) -> SweepGrid:
     """Mean correlation over a (b1, b2) grid with shared coupling weights."""
-    validate(base_config)
-    axes = _axes((b1_values, b2_values), default_homogeneous_axis)
-    base = replace(base_config, events=None)
-    return _sweep(base, axes, HomogeneousCoupling, threads, collect_samples)
+    return _sweep(base_config, "homogeneous", (b1_values, b2_values), threads, collect_samples)
 
 
 def sweep_centers(
@@ -169,15 +168,7 @@ def sweep_centers(
     collect_samples: bool = False,
 ) -> SweepGrid:
     """Mean correlation over a (c1, c2) grid of uniform-coupling centers."""
-    validate(base_config)
-    if not isinstance(base_config.coupling, UniformCoupling):
-        raise ValueError("centers sweep requires a uniform coupling template")
-    axes = _axes((c1_values, c2_values), default_centers_axis)
-    base = replace(base_config, events=None)
-    d1, d2 = base.coupling.delta1, base.coupling.delta2
-    return _sweep(
-        base, axes, lambda c1, c2: UniformCoupling(c1, d1, c2, d2), threads, collect_samples
-    )
+    return _sweep(base_config, "centers", (c1_values, c2_values), threads, collect_samples)
 
 
 def sweep_ranges(
@@ -188,20 +179,12 @@ def sweep_ranges(
     collect_samples: bool = False,
 ) -> SweepGrid:
     """Mean correlation over a (delta1, delta2) grid of uniform half-ranges."""
-    validate(base_config)
-    if not isinstance(base_config.coupling, UniformCoupling):
-        raise ValueError("ranges sweep requires a uniform coupling template")
-    axes = _axes((delta1_values, delta2_values), default_ranges_axis)
-    base = replace(base_config, events=None)
-    c1, c2 = base.coupling.c1, base.coupling.c2
-    return _sweep(
-        base, axes, lambda d1, d2: UniformCoupling(c1, d1, c2, d2), threads, collect_samples
-    )
+    return _sweep(base_config, "ranges", (delta1_values, delta2_values), threads, collect_samples)
 
 
 def sweep_events(
     base_config: ModelConfig,
-    k_values: Sequence[float] = (1.0, 2.0, 3.0, 4.0),
+    k_values: Sequence[float] = DEFAULT_K_VALUES,
     b1_values: Optional[Sequence[float]] = None,
     b2_values: Optional[Sequence[float]] = None,
     probability: Optional[float] = None,
@@ -213,20 +196,17 @@ def sweep_events(
     Cells across strengths share seeds, so each k grid is a paired variant of
     the k=0 baseline.
     """
-    validate(base_config)
-    axes = _axes((b1_values, b2_values), default_homogeneous_axis)
     if probability is None:
         probability = (
             base_config.events.probability
             if base_config.events is not None
             else DEFAULT_EVENT_PROBABILITY
         )
-    grids = []
-    for k in k_values:
-        events = EventModel(probability=float(probability), strength=float(k))
-        base = replace(base_config, events=events)
-        grids.append(_sweep(base, axes, HomogeneousCoupling, threads, collect_samples))
-    return grids
+    return [
+        _sweep(base_config, "homogeneous", (b1_values, b2_values), threads, collect_samples,
+               EventModel(probability=float(probability), strength=float(k)))
+        for k in k_values
+    ]
 
 
 # --- CSV export -------------------------------------------------------------

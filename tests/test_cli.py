@@ -240,6 +240,20 @@ def test_sweep_bad_k_values_is_usage_error():
     assert "--k-values" in outcome.message
 
 
+@pytest.mark.parametrize("k_values,shown", [("1,1.0000001", "1.0,1.0000001"), ("2,2", "2.0,2.0")])
+def test_sweep_colliding_k_values_is_usage_error(monkeypatch, tmp_path, k_values, shown):
+    # both strengths print as k=1 (or k=2), so their grids would share a file name
+    def no_run(*_args):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(engine, "run", no_run)
+    outcome = run_cli("sweep", "--experiment", "events", *SMALL, *POINT, "--k-values", k_values,
+                      "--out", str(tmp_path / "g.csv"))
+    assert outcome.exit_code == 1
+    assert outcome.message == f"config.validate: --k-values {shown} would write two grids to one file"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_sweep_flag_of_unswept_axis_is_usage_error():
     outcome = run_cli("sweep", "--experiment", "homogeneous", *SMALL, "--c1-min", "0")
     assert outcome.exit_code == 1
@@ -248,6 +262,13 @@ def test_sweep_flag_of_unswept_axis_is_usage_error():
 
 POINT = ["--b1-min", "0.5", "--b1-max", "0.5", "--b1-step", "1",
          "--b2-min", "0.5", "--b2-max", "0.5", "--b2-step", "1"]
+# the one-cell grid of each experiment that does not sweep (b1, b2)
+UNIFORM_POINTS = {
+    "centers": ["--c1-min", "0.5", "--c1-max", "0.5", "--c1-step", "1",
+                "--c2-min", "0.5", "--c2-max", "0.5", "--c2-step", "1"],
+    "ranges": ["--delta1-min", "1", "--delta1-max", "1", "--delta1-step", "1",
+               "--delta2-min", "1", "--delta2-max", "1", "--delta2-step", "1"],
+}
 
 
 @pytest.mark.parametrize(
@@ -257,11 +278,21 @@ POINT = ["--b1-min", "0.5", "--b1-max", "0.5", "--b1-step", "1",
         ("holding", ["--event-p", "0.5"], "--event-p"),
         ("homogeneous", ["--event-p", "0.5", "--event-k", "3"], "--event-k, --event-p"),
         ("events", ["--k-values", "1", "--event-k", "9"], "--event-k"),
+        ("homogeneous", ["--b1", "0.9"], "--b1"),
+        ("homogeneous", ["--delta1", "3"], "--delta1"),
+        ("centers", ["--b2", "0.7"], "--b2"),
+        ("centers", ["--c1", "0.7"], "--c1"),
+        ("ranges", ["--c1", "0", "--delta2", "2"], "--delta2"),
+        ("holding", ["--no-allow-hold"], "--no-allow-hold"),
+        ("events", ["--no-events", "--event-p", "0.5"], "--no-events"),
     ],
-    ids=["k-values", "event-p", "event-p-and-k", "events-event-k"],
+    ids=["k-values", "event-p", "event-p-and-k", "events-event-k", "homogeneous-b1",
+         "homogeneous-delta1", "centers-b2", "centers-c1", "ranges-delta2",
+         "holding-no-allow-hold", "events-no-events"],
 )
 def test_sweep_shock_flag_it_does_not_read_is_usage_error(experiment, flags, refused):
-    outcome = run_cli("sweep", "--experiment", experiment, *SMALL, *POINT, *flags)
+    point = UNIFORM_POINTS.get(experiment, POINT)
+    outcome = run_cli("sweep", "--experiment", experiment, *SMALL, *point, *flags)
     assert outcome.exit_code == 1
     assert outcome.message == f"config.validate: --experiment {experiment} does not take {refused}"
 
@@ -272,10 +303,12 @@ def test_sweep_shock_flag_it_does_not_read_is_usage_error(experiment, flags, ref
 )
 def test_sweep_uniform_experiments(tmp_path, experiment, axis, values):
     other = "c2" if experiment == "centers" else "delta2"
+    # the coupling flags a uniform plane reads are the ones it does not sweep
+    template = ["--delta1", "1", "--delta2", "1"] if experiment == "centers" else ["--c1", "0", "--c2", "0"]
     lo, hi = sorted(values)
     out = tmp_path / "grid.csv"
     outcome = run_cli(
-        "sweep", "--experiment", experiment, *SMALL,
+        "sweep", "--experiment", experiment, *SMALL, *template,
         f"--{axis}-min", str(lo), f"--{axis}-max", str(hi), f"--{axis}-step", str(hi - lo),
         f"--{other}-min", "1", f"--{other}-max", "1", f"--{other}-step", "1",
         "--out", str(out),

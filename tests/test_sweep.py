@@ -45,18 +45,19 @@ def test_homogeneous_grid_shape_and_bounds():
 
 
 @pytest.mark.parametrize(
-    "plane,points",
+    "plane,fields,points",
     [
-        ("homogeneous", "-1.0 -0.9 -0.8 -0.7 -0.6 -0.5 -0.4 -0.3 -0.2 -0.1 0.0"
-                        " 0.1 0.2 0.3 0.4 0.5 0.6 0.7 0.8 0.9 1.0"),
-        ("centers", "-1.0 -0.8 -0.6 -0.4 -0.2 0.0 0.2 0.4 0.6 0.8 1.0"),
-        ("ranges", "1.0 1.5 2.0 2.5 3.0 3.5 4.0 4.5 5.0"),
+        ("homogeneous", ("b1", "b2"), "-1.0 -0.9 -0.8 -0.7 -0.6 -0.5 -0.4 -0.3 -0.2 -0.1 0.0"
+                                      " 0.1 0.2 0.3 0.4 0.5 0.6 0.7 0.8 0.9 1.0"),
+        ("centers", ("c1", "c2"), "-1.0 -0.8 -0.6 -0.4 -0.2 0.0 0.2 0.4 0.6 0.8 1.0"),
+        ("ranges", ("delta1", "delta2"), "1.0 1.5 2.0 2.5 3.0 3.5 4.0 4.5 5.0"),
     ],
+    ids=["homogeneous", "centers", "ranges"],
 )
-def test_default_axes(plane, points):
+def test_default_axes(plane, fields, points):
     # repr round-trips, so this pins every bit of every default point
-    axis = getattr(sweep, f"default_{plane}_axis")()
-    assert [repr(float(v)) for v in axis] == points.split()
+    assert sweep.EXPERIMENTS[plane][0] == fields
+    assert [repr(float(v)) for v in sweep.EXPERIMENTS[plane][1]] == points.split()
 
 
 def test_cells_independent_of_grid_layout():
