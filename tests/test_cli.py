@@ -240,20 +240,6 @@ def test_sweep_bad_k_values_is_usage_error():
     assert "--k-values" in outcome.message
 
 
-@pytest.mark.parametrize("k_values,shown", [("1,1.0000001", "1.0,1.0000001"), ("2,2", "2.0,2.0")])
-def test_sweep_colliding_k_values_is_usage_error(monkeypatch, tmp_path, k_values, shown):
-    # both strengths print as k=1 (or k=2), so their grids would share a file name
-    def no_run(*_args):
-        raise AssertionError("a run started")
-
-    monkeypatch.setattr(engine, "run", no_run)
-    outcome = run_cli("sweep", "--experiment", "events", *SMALL, *POINT, "--k-values", k_values,
-                      "--out", str(tmp_path / "g.csv"))
-    assert outcome.exit_code == 1
-    assert outcome.message == f"config.validate: --k-values {shown} would write two grids to one file"
-    assert list(tmp_path.iterdir()) == []
-
-
 def test_sweep_flag_of_unswept_axis_is_usage_error():
     outcome = run_cli("sweep", "--experiment", "homogeneous", *SMALL, "--c1-min", "0")
     assert outcome.exit_code == 1
@@ -297,6 +283,20 @@ def test_sweep_shock_flag_it_does_not_read_is_usage_error(experiment, flags, ref
     assert outcome.message == f"config.validate: --experiment {experiment} does not take {refused}"
 
 
+@pytest.mark.parametrize("k_values,shown", [("1,1.0000001", "1.0,1.0000001"), ("2,2", "2.0,2.0")])
+def test_sweep_colliding_k_values_is_usage_error(monkeypatch, tmp_path, k_values, shown):
+    # both strengths print as k=1 (or k=2), so their grids would share a file name
+    def no_run(*_args):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(engine, "run", no_run)
+    outcome = run_cli("sweep", "--experiment", "events", *SMALL, *POINT, "--k-values", k_values,
+                      "--out", str(tmp_path / "g.csv"))
+    assert outcome.exit_code == 1
+    assert outcome.message == f"config.validate: --k-values {shown} would write two grids to one file"
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "experiment,axis,values",
     [("centers", "c1", {-0.5, 0.5}), ("ranges", "delta1", {1.0, 2.0})],
@@ -304,11 +304,11 @@ def test_sweep_shock_flag_it_does_not_read_is_usage_error(experiment, flags, ref
 def test_sweep_uniform_experiments(tmp_path, experiment, axis, values):
     other = "c2" if experiment == "centers" else "delta2"
     # the coupling flags a uniform plane reads are the ones it does not sweep
-    template = ["--delta1", "1", "--delta2", "1"] if experiment == "centers" else ["--c1", "0", "--c2", "0"]
+    template = {"centers": ["--delta1", "1", "--delta2", "1"], "ranges": ["--c1", "0", "--c2", "0"]}
     lo, hi = sorted(values)
     out = tmp_path / "grid.csv"
     outcome = run_cli(
-        "sweep", "--experiment", experiment, *SMALL, *template,
+        "sweep", "--experiment", experiment, *SMALL, *template[experiment],
         f"--{axis}-min", str(lo), f"--{axis}-max", str(hi), f"--{axis}-step", str(hi - lo),
         f"--{other}-min", "1", f"--{other}-max", "1", f"--{other}-step", "1",
         "--out", str(out),

@@ -3,8 +3,7 @@ import io
 import numpy as np
 import pytest
 
-from mgmarket import HomogeneousCoupling, UniformCoupling
-from mgmarket import sweep
+from mgmarket import HomogeneousCoupling, UniformCoupling, sweep
 from mgmarket.sweep import (
     GRID_COLUMNS,
     SCATTER_COLUMNS,
