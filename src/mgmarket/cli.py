@@ -224,9 +224,14 @@ def _axis_from_flags(args, name: str, default: tuple[float, ...]) -> np.ndarray 
     return np.round(np.arange(lo, stop, step), 10) + 0.0
 
 
+def _strength_text(strength: float) -> str:
+    """The shortest text that reads back as ``strength``: ``1`` for 1.0, ``0`` for -0.0."""
+    return repr(strength + 0.0).removesuffix(".0")
+
+
 def _grid_out_path(base: str, strength: float) -> str:
     root, ext = os.path.splitext(base)
-    return f"{root}_k{strength:g}{ext or '.csv'}"
+    return f"{root}_k{_strength_text(strength)}{ext or '.csv'}"
 
 
 def _cmd_sweep(args) -> CommandOutcome:
@@ -285,7 +290,7 @@ def _cmd_sweep(args) -> CommandOutcome:
         if scatter_out:
             with _atomic_open(scatter_out) as fh:
                 sweep.write_scatter(sweep.grid_runs(grid), fh)
-        label = "" if grid.event_strength is None else f" (k={grid.event_strength:g})"
+        label = "" if grid.event_strength is None else f" (k={_strength_text(grid.event_strength)})"
         n1, n2 = map(len, grid.axes)
         print(
             f"sweep {args.experiment}{label}: {n1}x{n2} cells x {grid.n_runs} runs "

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import csv
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -49,14 +49,9 @@ EXPERIMENTS = {
 
 
 def cell_seed(master_seed: int, coupling: Coupling) -> int:
-    """Seed of one grid cell, a function of the coupling parameters only."""
-    if isinstance(coupling, HomogeneousCoupling):
-        return fold_seed(master_seed, "cell:homogeneous", (coupling.b1, coupling.b2))
-    return fold_seed(
-        master_seed,
-        "cell:uniform",
-        (coupling.c1, coupling.delta1, coupling.c2, coupling.delta2),
-    )
+    """Seed of one grid cell: its coupling's fields in declaration order, tagged by kind."""
+    kind = "homogeneous" if isinstance(coupling, HomogeneousCoupling) else "uniform"
+    return fold_seed(master_seed, f"cell:{kind}", astuple(coupling))
 
 
 RunSamples = tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]

@@ -269,3 +269,40 @@ def test_criterion_11_ar1_sanity(lab):
     check(11, "AR(1) of simulated returns anti-persistent", t_ratio <= -3.0,
           f"pooled phi={rep.phi:+.4f} over n={rep.n} lag pairs, "
           f"se={se:.4f}, t={t_ratio:+.1f} <= -3")
+
+
+def test_criterion_12_standard_minority_game_volatility():
+    """At b1 = b2 = 0 and paper N each stock is a standard minority game with
+    alpha = 2^m / N, and sigma^2 / N of its internal demand follows the
+    standard curve (Savit, Manuca & Riolo, PRL 82, 2203, 1999; Challet,
+    Marsili & Zecchina, PRL 84, 1824, 2000): crowded, far above the
+    random-agent value 1, while alpha << 1 (it falls as 1/alpha there); a
+    minimum well below 1 near alpha = 0.3-0.6; then back up toward 1 at
+    alpha >> 1.  m = 1 scores agent types and m >= 5 the agents, so both
+    step kernels are checked.  Each run lasts until every one of the 2^m
+    histories recurs about ten times, and the second half is measured.
+    """
+    n = 1001
+    bounds = {
+        1: (10.0, np.inf),  # alpha = 0.002: crowded
+        5: (2.0, np.inf),  # alpha = 0.032: still crowded
+        8: (0.0, 1.0),  # alpha = 0.26: below random agents, the minimum here
+        9: (0.0, 0.5),  # alpha = 0.51: or here
+        12: (0.5, 1.3),  # alpha = 4.1: back near random agents
+    }
+    volatility = {}
+    for memory in bounds:
+        horizon = 1000 + 10 * 2**memory
+        cfg = mg.ModelConfig(n_agents=n, memory=memory, horizon=horizon,
+                             coupling=mg.HomogeneousCoupling(0.0, 0.0), master_seed=1)
+        state = run(cfg, 0).market
+        volatility[memory] = [
+            float(np.var(series.internal_demand[state.warmup_steps + horizon // 2 :])) / n
+            for series in state.stocks
+        ]
+    in_bounds = all(lo <= v <= hi for m, (lo, hi) in bounds.items() for v in volatility[m])
+    lowest = min(volatility, key=lambda m: np.mean(volatility[m]))
+    check(12, "sigma^2/N on the standard minority-game curve at N=1001",
+          in_bounds and lowest in (8, 9),
+          ", ".join(f"m={m} (alpha={2**m / n:.3f}): " + "/".join(f"{v:.3g}" for v in vs)
+                    for m, vs in volatility.items()) + f"; lowest at m={lowest}")

@@ -214,10 +214,13 @@ def test_sweep_reduced_grid(tmp_path):
     assert {float(r[0]) for r in rows[1:]} == {-0.9, 0.0, 0.9}
 
 
-def test_sweep_events_writes_one_grid_per_k(tmp_path):
+def test_sweep_events_writes_one_grid_per_k(tmp_path, capsys):
     cases = {
         "1,2": ["grid_k1.csv", "grid_k2.csv", "scatter_k1.csv", "scatter_k2.csv"],
         "2": ["grid.csv", "scatter.csv"],  # one strength keeps the paths as given
+        # each grid is named by the shortest text that reads back as its strength
+        "1,1.0000001": ["grid_k1.0000001.csv", "grid_k1.csv",
+                        "scatter_k1.0000001.csv", "scatter_k1.csv"],
     }
     for i, (k_values, written) in enumerate(cases.items()):
         directory = tmp_path / str(i)
@@ -232,6 +235,8 @@ def test_sweep_events_writes_one_grid_per_k(tmp_path):
         )
         assert outcome.exit_code == 0
         assert sorted(p.name for p in directory.iterdir()) == written
+    printed = capsys.readouterr().out
+    assert "(k=1)" in printed and "(k=1.0000001)" in printed
 
 
 def test_sweep_bad_k_values_is_usage_error():
@@ -283,9 +288,9 @@ def test_sweep_shock_flag_it_does_not_read_is_usage_error(experiment, flags, ref
     assert outcome.message == f"config.validate: --experiment {experiment} does not take {refused}"
 
 
-@pytest.mark.parametrize("k_values,shown", [("1,1.0000001", "1.0,1.0000001"), ("2,2", "2.0,2.0")])
+@pytest.mark.parametrize("k_values,shown", [("0,-0", "0.0,-0.0"), ("2,2", "2.0,2.0")])
 def test_sweep_colliding_k_values_is_usage_error(monkeypatch, tmp_path, k_values, shown):
-    # both strengths print as k=1 (or k=2), so their grids would share a file name
+    # equal strengths (-0.0 is 0) would write their grids to one file
     def no_run(*_args):
         raise AssertionError("a run started")
 

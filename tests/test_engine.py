@@ -171,6 +171,18 @@ def _shared_types(cfg, components):
             for t, b in zip(components.tables, components.couplings)]
 
 
+def test_agent_types_are_the_tables_agents_hold():
+    # 301 agents hold fewer distinct (m=1, S=2) table pairs than the 2^8 possible
+    cfg = small_config(n_agents=301)
+    comps = build_components(cfg, 0)
+    for tables, b in zip(comps.tables, comps.couplings):
+        rows, _, counts, type_of = engine._agent_types(tables, b, cfg.decision_set)
+        held = {table.tobytes() for table in tables}
+        assert len(rows) == len(held) and {row.tobytes() for row in rows} == held
+        assert counts.min() >= 1 and counts.sum() == cfg.n_agents
+        assert np.array_equal(rows[type_of], tables)
+
+
 @pytest.mark.parametrize(
     "overrides",
     [dict(n_agents=301, horizon=80), dict(n_agents=6563, horizon=30, allow_hold=True),
