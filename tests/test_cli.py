@@ -214,13 +214,10 @@ def test_sweep_reduced_grid(tmp_path):
     assert {float(r[0]) for r in rows[1:]} == {-0.9, 0.0, 0.9}
 
 
-def test_sweep_events_writes_one_grid_per_k(tmp_path, capsys):
+def test_sweep_events_writes_one_grid_per_k(tmp_path):
     cases = {
         "1,2": ["grid_k1.csv", "grid_k2.csv", "scatter_k1.csv", "scatter_k2.csv"],
         "2": ["grid.csv", "scatter.csv"],  # one strength keeps the paths as given
-        # each grid is named by the shortest text that reads back as its strength
-        "1,1.0000001": ["grid_k1.0000001.csv", "grid_k1.csv",
-                        "scatter_k1.0000001.csv", "scatter_k1.csv"],
     }
     for i, (k_values, written) in enumerate(cases.items()):
         directory = tmp_path / str(i)
@@ -235,6 +232,21 @@ def test_sweep_events_writes_one_grid_per_k(tmp_path, capsys):
         )
         assert outcome.exit_code == 0
         assert sorted(p.name for p in directory.iterdir()) == written
+
+
+def test_sweep_close_k_values_write_two_grids(tmp_path, capsys):
+    # each grid is named and labelled by the shortest text that reads back as its strength
+    outcome = run_cli(
+        "sweep", "--experiment", "events", *SMALL,
+        "--b1-min", "0.5", "--b1-max", "0.5", "--b1-step", "1",
+        "--b2-min", "0.5", "--b2-max", "0.5", "--b2-step", "1",
+        "--k-values", "1,1.0000001", "--event-p", "0.05",
+        "--out", str(tmp_path / "grid.csv"),
+        "--scatter-out", str(tmp_path / "scatter.csv"),
+    )
+    assert outcome.exit_code == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "grid_k1.0000001.csv", "grid_k1.csv", "scatter_k1.0000001.csv", "scatter_k1.csv"]
     printed = capsys.readouterr().out
     assert "(k=1)" in printed and "(k=1.0000001)" in printed
 
