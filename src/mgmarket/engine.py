@@ -5,6 +5,8 @@ Step protocol (main loop), using only step t-1 data as inputs:
 
 1. each agent's expected return per stock from both stocks' lagged returns;
 2. information state per stock: last m return signs plus the expectation sign;
+   when the agents share one coupling, they share one expectation, and the
+   state is one integer whose (slots, rows) table slice is read, not gathered;
 3. each agent plays its highest-scoring strategy slot (ties uniform); with one
    coupling and fewer possible tables than agents, each held table is scored
    once and ``tiebreak:j`` drawn only when a tie can change the demand, else
@@ -85,17 +87,18 @@ def build_components(config: ModelConfig, run_index: int) -> RunComponents:
     )
 
 
-def _agent_types(tables: np.ndarray, b: np.ndarray, values) -> tuple:
-    """With one coupling and fewer possible tables over ``values`` than agents,
-    the distinct (slots, rows) tables the agents hold, their coupling, each
-    one's agent count (at least 1) and each agent's row.  Else the agents."""
+def _agent_types(tables: np.ndarray, values) -> tuple:
+    """With fewer possible tables over ``values`` than agents, the distinct
+    (slots, rows) tables the agents hold, each one's agent count (at least 1)
+    and each agent's row.  Else the agents."""
     n, s, rows = tables.shape
-    if len(values) ** (s * rows) >= n or not (b == b[0]).all():
-        return tables, b, None, None
+    # |values| >= 2, so the bit length decides first, before the power grows huge
+    if s * rows >= n.bit_length() or len(values) ** (s * rows) >= n:
+        return tables, None, None
     # one byte string per agent: unique(axis=0) compares field by field, ~15x slower
     keys = np.ascontiguousarray(tables).reshape(n, -1).view(f"V{tables[0].nbytes}")[:, 0]
     held, type_of, counts = np.unique(keys, return_inverse=True, return_counts=True)
-    return held.view(tables.dtype).reshape(-1, s, rows), np.full(len(held), b[0]), counts, type_of
+    return held.view(tables.dtype).reshape(-1, s, rows), counts, type_of
 
 
 def simulate_trajectory(
@@ -151,28 +154,37 @@ def simulate_trajectory(
         raise CoefficientOutOfRangeError(f"couplings summed over {n} agents overflow") from None
     stocks = []
     for j, tables, b in zip((0, 1), components.tables, components.couplings):
-        tables, b, counts, type_of = _agent_types(tables, b, config.decision_set)
-        k = len(b)  # slot-major: slot s of row i is entry i + s * k, each column contiguous
-        stocks.append((j, tables, b, np.zeros((s_slots, k)).T, counts, type_of, np.arange(k),
-                       components.tiebreak_rngs[j], components.event_rngs[j]))
+        decided_at = scored_at = counts = type_of = None
+        if (b == b[0]).all():  # one public state per step: each state's (slots, rows) slice
+            b = float(b[0])
+            tables, counts, type_of = _agent_types(tables, config.decision_set)
+            decided_at = scored_at = np.ascontiguousarray(tables.transpose(2, 1, 0))
+            if counts is not None:  # few rows: score in floats, not a cast per step
+                scored_at = decided_at.astype(np.float64)
+        k = len(tables)  # slot-major: slot s of row i is entry i + s * k, each column contiguous
+        stocks.append((j, tables, b, decided_at, scored_at, np.zeros((s_slots, k)).T, counts, type_of,
+                       np.arange(k), components.tiebreak_rngs[j], components.event_rngs[j]))
     for t in range(horizon):
         step = warm + t
         lag = tuple(last_return)
-        for j, tables, b, scores, counts, type_of, rows, rng, events in stocks:
+        for j, tables, b, decided_at, scored_at, scores, counts, type_of, rows, rng, events in stocks:
             state = (b * lag[1 - j] + a_own[j] * lag[j] >= 0.0) + (hist[j] << 1)
-            decisions = strategy.decide_all_slots(tables, state)
+            if decided_at is None:  # a state per agent
+                decisions = scored = strategy.decide_all_slots(tables, state)
+            else:  # slot-major views, as decide_all_slots returns
+                decisions, scored = decided_at[state].T, scored_at[state].T
             if counts is None:
                 slot = scoring.select_slots(scores, rng)
                 a_int = market.excess_demand(decisions.T.reshape(-1)[rows + slot * n])
             else:
                 slot = scoring.select_slots(scores, decisions)
-                if slot.min() < 0:
+                if np.minimum.reduce(slot) < 0:
                     # a tie changes the demand: each agent takes its top slot of most jitter
                     own_slot = scoring.top_slots(scores[type_of], rng.random((n, s_slots)))
                     a_int = market.excess_demand(decisions[type_of, own_slot])
                 else:  # skip the draw, not its stream
                     rng.bit_generator.advance(n * s_slots)
-                    a_int = market.excess_demand(decisions.T.reshape(-1)[rows + slot * len(b)], counts)
+                    a_int = market.excess_demand(decisions[rows, slot], counts)
             a_ext = 0.0
             if shock_amplitudes is not None:
                 a_ext = market.external_demand(
@@ -180,7 +192,7 @@ def simulate_trajectory(
                 )
 
             a_total = advance(j, step, a_int, a_ext)
-            scoring.update_scores(scores, decisions, a_total)
+            scoring.update_scores(scores, scored, a_total)
 
     # the population-mean expectation standing after each step's returns,
     # i.e. the forecast agents carry into the next step

@@ -157,8 +157,13 @@ def test_engine_matches_two_stock_reference(memory, b1, b2):
              events=EventModel(0.5, 2.0)),
         dict(initial_price=3.0, n_strategies=3),
         dict(initial_price=12.0, events=EventModel(0.5, 4.0)),
+        # one coupling on per-agent rows (3^8 possible tables > 301 agents): one state per step
+        dict(n_agents=301, allow_hold=True, coupling=HomogeneousCoupling(0.4, -0.6)),
+        # a zero half-range draws one coupling
+        dict(coupling=UniformCoupling(0.3, 0.0, -0.2, 0.0)),
     ],
-    ids=["uniform_events_m3_s4", "uniform_hold_m2_s3", "hold_events_s1", "abort", "abort_events"],
+    ids=["uniform_events_m3_s4", "uniform_hold_m2_s3", "hold_events_s1", "abort", "abort_events",
+         "hold_one_coupling_n301", "uniform_zero_range"],
 )
 def test_engine_matches_oracle_across_axes(overrides):
     _assert_engine_matches_oracle(small_config(**{"n_agents": 21, "horizon": 40, **overrides}), 1)
@@ -167,7 +172,7 @@ def test_engine_matches_oracle_across_axes(overrides):
 def _shared_types(cfg, components):
     """Per stock, whether the kernel scores agent types (its counts are None
     when it scores the agents themselves)."""
-    return [engine._agent_types(t, b, cfg.decision_set)[2] is not None
+    return [bool((b == b[0]).all()) and engine._agent_types(t, cfg.decision_set)[1] is not None
             for t, b in zip(components.tables, components.couplings)]
 
 
@@ -175,12 +180,20 @@ def test_agent_types_are_the_tables_agents_hold():
     # 301 agents hold fewer distinct (m=1, S=2) table pairs than the 2^8 possible
     cfg = small_config(n_agents=301)
     comps = build_components(cfg, 0)
-    for tables, b in zip(comps.tables, comps.couplings):
-        rows, _, counts, type_of = engine._agent_types(tables, b, cfg.decision_set)
+    for tables in comps.tables:
+        rows, counts, type_of = engine._agent_types(tables, cfg.decision_set)
         held = {table.tobytes() for table in tables}
         assert len(rows) == len(held) and {row.tobytes() for row in rows} == held
         assert counts.min() >= 1 and counts.sum() == cfg.n_agents
         assert np.array_equal(rows[type_of], tables)
+
+
+def test_agent_types_of_huge_tables_are_the_agents_at_once():
+    # 3^(64 * 2^21) possible tables against one agent: decided by bit length,
+    # without building that power
+    tables = np.broadcast_to(np.int8(0), (1, 64, 2**21))
+    rows, counts, type_of = engine._agent_types(tables, (-1, 0, 1))
+    assert rows is tables and counts is None and type_of is None
 
 
 @pytest.mark.parametrize(
@@ -215,12 +228,14 @@ def test_engine_matches_oracle_with_shared_agent_types(monkeypatch, overrides):
 
 
 @pytest.mark.parametrize(
-    "coupling,shared",
-    [(HomogeneousCoupling(0.5, -0.3), True), (UniformCoupling(0.0, 1.0, 0.2, 0.5), False)],
-    ids=["shared-types", "distinct-agents"],
+    "overrides,shared",
+    [(dict(coupling=HomogeneousCoupling(0.5, -0.3)), True),
+     (dict(coupling=UniformCoupling(0.0, 1.0, 0.2, 0.5)), False),
+     (dict(coupling=HomogeneousCoupling(0.5, -0.3), allow_hold=True), False)],
+    ids=["shared-types", "distinct-agents", "shared-coupling-holds"],
 )
-def test_tiebreak_streams_end_where_per_agent_draws_leave_them(coupling, shared):
-    cfg = small_config(n_agents=301, coupling=coupling)
+def test_tiebreak_streams_end_where_per_agent_draws_leave_them(overrides, shared):
+    cfg = small_config(n_agents=301, **overrides)
     comps = build_components(cfg, 0)
     assert _shared_types(cfg, comps) == [shared, shared]
     simulate_trajectory(cfg, comps)
