@@ -4,7 +4,9 @@
 Parameters come from an optional flat config file (``--config`` or the
 ``MGMARKET_CONFIG`` environment variable) with command-line flags winning
 over file values.  All outputs are written atomically (temp file + rename) so
-aborted long sweeps never leave partial files behind.
+aborted long sweeps never leave partial files behind.  ``simulate`` and
+``sweep`` create theirs before the first run, so an output that cannot be
+written, or two outputs that name one file, end the verb at once.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 runtime error,
 3 verification failure.
@@ -14,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import json
 import math
 import os
@@ -21,7 +24,7 @@ import sys
 import tempfile
 from array import array
 from collections import defaultdict
-from contextlib import contextmanager, nullcontext
+from contextlib import ExitStack, contextmanager, nullcontext
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -64,6 +67,8 @@ class _Parser(argparse.ArgumentParser):
 
 @contextmanager
 def _atomic_open(path: str):
+    if os.path.isdir(path):  # os.replace would refuse it only after the writing
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".mgmarket-", suffix=".part")
     try:
@@ -74,6 +79,19 @@ def _atomic_open(path: str):
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+@contextmanager
+def _open_outputs(*paths: str | None):
+    """Open every named output with :func:`_atomic_open` and yield the files,
+    None for an unnamed one, so a path that cannot be written fails before any
+    run.  Two outputs that name one file are refused."""
+    named = [os.path.abspath(path) for path in paths if path]
+    for path in named:
+        if named.count(path) > 1:
+            raise ConfigError(f"two outputs name one file: {path}")
+    with ExitStack() as stack:
+        yield [stack.enter_context(_atomic_open(path)) if path else None for path in paths]
 
 
 def _write_report(path: str | None, header: list[str], rows) -> None:
@@ -164,7 +182,7 @@ def _resolve_config(args) -> tuple[ModelConfig, dict]:
     return from_items(items), overrides
 
 
-def _write_summary(path, config, overrides, batch) -> None:
+def _write_summary(fh, config, overrides, batch) -> None:
     record = {
         "config": dict(_items(config)),
         "config_digest": config_digest(config),
@@ -179,23 +197,21 @@ def _write_summary(path, config, overrides, batch) -> None:
             "recorded_window": "main loop only; warm-up excluded",
         },
     }
-    with _atomic_open(path) as fh:
-        json.dump(record, fh, indent=2)
-        fh.write("\n")
+    json.dump(record, fh, indent=2)
+    fh.write("\n")
 
 
 def _cmd_simulate(args) -> CommandOutcome:
     config, overrides = _resolve_config(args)
-    batch = engine.run_many(config, threads=args.threads)
-    if args.out:
-        with _atomic_open(args.out) as fh:
-            market.write_trajectory(batch.runs[0].market, fh)
-    if args.scatter_out:
-        runs = ((r.run_index, (r.samples(0), r.samples(1))) for r in batch.runs)
-        with _atomic_open(args.scatter_out) as fh:
-            sweep.write_scatter(runs, fh)
-    if args.summary:
-        _write_summary(args.summary, config, overrides, batch)
+    with _open_outputs(args.out, args.scatter_out, args.summary) as (out, scatter_out, summary):
+        batch = engine.run_many(config, threads=args.threads)
+        if out:
+            market.write_trajectory(batch.runs[0].market, out)
+        if scatter_out:
+            runs = ((r.run_index, (r.samples(0), r.samples(1))) for r in batch.runs)
+            sweep.write_scatter(runs, scatter_out)
+        if summary:
+            _write_summary(summary, config, overrides, batch)
     print(f"simulate: {config.n_runs} runs, mean correlation {batch.mean_correlation:+.4f}")
     return CommandOutcome(0)
 
@@ -271,25 +287,24 @@ def _cmd_sweep(args) -> CommandOutcome:
         config = replace(config, coupling=DEFAULT_UNIFORM)
     axes = tuple(_axis_from_flags(args, key, default) for key in fields)
     collect = args.scatter_out is not None
-    if args.experiment == "events":
-        k_values = args.k_values or sweep.DEFAULT_K_VALUES
-        grids = sweep.sweep_events(config, k_values, *axes, threads=args.threads,
-                                   collect_samples=collect)
-    else:
-        grids = [sweep._sweep(config, plane, axes, args.threads, collect)]
-
+    strengths = (args.k_values or sweep.DEFAULT_K_VALUES) if args.experiment == "events" else [None]
+    # a grid's (out, scatter_out); only an events sweep has more than one grid
+    paths = [
+        _grid_out_path(path, k) if path and len(strengths) > 1 else path
+        for k in strengths for path in (args.out, args.scatter_out)
+    ]
+    with _open_outputs(*paths) as files:
+        if args.experiment == "events":
+            grids = sweep.sweep_events(config, strengths, *axes, threads=args.threads,
+                                       collect_samples=collect)
+        else:
+            grids = sweep._sweep(config, plane, axes, args.threads, collect)
+        for grid, out, scatter_out in zip(grids, files[::2], files[1::2]):
+            if out:
+                sweep.write_grid(grid, out)
+            if scatter_out:
+                sweep.write_scatter(sweep.grid_runs(grid), scatter_out)
     for grid in grids:
-        # only an events sweep returns more than one grid
-        out, scatter_out = (
-            _grid_out_path(path, grid.event_strength) if path and len(grids) > 1 else path
-            for path in (args.out, args.scatter_out)
-        )
-        if out:
-            with _atomic_open(out) as fh:
-                sweep.write_grid(grid, fh)
-        if scatter_out:
-            with _atomic_open(scatter_out) as fh:
-                sweep.write_scatter(sweep.grid_runs(grid), fh)
         label = "" if grid.event_strength is None else f" (k={_strength_text(grid.event_strength)})"
         n1, n2 = map(len, grid.axes)
         print(

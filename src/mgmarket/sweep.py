@@ -101,12 +101,15 @@ def _sweep(
     values: tuple[Optional[Sequence[float]], Optional[Sequence[float]]],
     threads: Optional[int],
     collect_samples: bool,
-    events: Optional[EventModel] = None,
-) -> SweepGrid:
-    """Run ``base_config.n_runs`` runs with ``events`` at every cell of ``plane``.
+    shocks: Sequence[Optional[EventModel]] = (None,),
+) -> list[SweepGrid]:
+    """Run ``base_config.n_runs`` runs at every cell of ``plane``, once per shock.
 
     ``values`` are the swept fields' axes, None for the default.  A cell sets them
-    on a homogeneous or the base's uniform coupling, seeded by :func:`cell_seed`.
+    on a homogeneous or the base's uniform coupling, seeded by :func:`cell_seed`,
+    so a cell's runs under each shock are paired.  Every cell config is validated
+    as the one task list is built, so a bad one is refused before the first run;
+    one :func:`engine.pool_map` call runs the list.  Returns one grid per shock.
     """
     validate(base_config)
     fields, default = EXPERIMENTS[plane]
@@ -116,32 +119,30 @@ def _sweep(
     elif not isinstance(template, UniformCoupling):
         raise ValueError(f"{plane} sweep requires a uniform coupling template")
     axes = tuple(np.asarray(default if v is None else v, dtype=float) for v in values)
-    base = replace(base_config, events=events)
     t0 = time.monotonic()
     n1, n2 = map(len, axes)
-    n_runs = base.n_runs
+    n_runs = base_config.n_runs
     tasks = []
-    for v1 in axes[0]:
-        for v2 in axes[1]:
-            coupling = replace(template, **{fields[0]: float(v1), fields[1]: float(v2)})
-            seed = cell_seed(base.master_seed, coupling)
-            cell = replace(base, coupling=coupling, master_seed=seed)
-            tasks += [(cell, run, collect_samples) for run in range(n_runs)]
+    for events in shocks:
+        for v1 in axes[0]:
+            for v2 in axes[1]:
+                coupling = replace(template, **{fields[0]: float(v1), fields[1]: float(v2)})
+                seed = cell_seed(base_config.master_seed, coupling)
+                cell = validate(replace(base_config, coupling=coupling, events=events,
+                                        master_seed=seed))
+                tasks += [(cell, run, collect_samples) for run in range(n_runs)]
     outcomes = engine.pool_map(_cell_task, tasks, threads)
+    elapsed = time.monotonic() - t0
 
-    # tasks run in (cell row, cell column, run) order
-    rho = np.array([value for value, _ in outcomes], dtype=float).reshape(n1, n2, n_runs)
-    samples = None
-    if collect_samples:
-        runs = (run_samples for _, run_samples in outcomes)
-        samples = [[[next(runs) for _ in range(n_runs)] for _ in range(n2)] for _ in range(n1)]
-    return SweepGrid(
-        axes=axes,
-        rho_runs=rho,
-        elapsed_seconds=time.monotonic() - t0,
-        event_strength=None if events is None else events.strength,
-        samples=samples,
-    )
+    # tasks run in (shock, cell row, cell column, run) order
+    rho = np.array([v for v, _ in outcomes], dtype=float).reshape(len(shocks), n1, n2, n_runs)
+    runs = (run_samples for _, run_samples in outcomes)
+    return [
+        SweepGrid(axes, rho[k], elapsed, None if events is None else events.strength,
+                  [[[next(runs) for _ in range(n_runs)] for _ in range(n2)] for _ in range(n1)]
+                  if collect_samples else None)
+        for k, events in enumerate(shocks)
+    ]
 
 
 def sweep_homogeneous(
@@ -152,7 +153,7 @@ def sweep_homogeneous(
     collect_samples: bool = False,
 ) -> SweepGrid:
     """Mean correlation over a (b1, b2) grid with shared coupling weights."""
-    return _sweep(base_config, "homogeneous", (b1_values, b2_values), threads, collect_samples)
+    return _sweep(base_config, "homogeneous", (b1_values, b2_values), threads, collect_samples)[0]
 
 
 def sweep_centers(
@@ -163,7 +164,7 @@ def sweep_centers(
     collect_samples: bool = False,
 ) -> SweepGrid:
     """Mean correlation over a (c1, c2) grid of uniform-coupling centers."""
-    return _sweep(base_config, "centers", (c1_values, c2_values), threads, collect_samples)
+    return _sweep(base_config, "centers", (c1_values, c2_values), threads, collect_samples)[0]
 
 
 def sweep_ranges(
@@ -174,7 +175,7 @@ def sweep_ranges(
     collect_samples: bool = False,
 ) -> SweepGrid:
     """Mean correlation over a (delta1, delta2) grid of uniform half-ranges."""
-    return _sweep(base_config, "ranges", (delta1_values, delta2_values), threads, collect_samples)
+    return _sweep(base_config, "ranges", (delta1_values, delta2_values), threads, collect_samples)[0]
 
 
 def sweep_events(
@@ -186,10 +187,10 @@ def sweep_events(
     threads: Optional[int] = None,
     collect_samples: bool = False,
 ) -> list[SweepGrid]:
-    """One homogeneous grid per external-shock strength k.
+    """One homogeneous grid per external-shock strength k, from one :func:`_sweep` call.
 
     Cells across strengths share seeds, so each k grid is a paired variant of
-    the k=0 baseline.
+    the k=0 baseline.  Every strength is checked before the first run.
     """
     if probability is None:
         probability = (
@@ -197,11 +198,9 @@ def sweep_events(
             if base_config.events is not None
             else DEFAULT_EVENT_PROBABILITY
         )
-    return [
-        _sweep(base_config, "homogeneous", (b1_values, b2_values), threads, collect_samples,
-               EventModel(probability=float(probability), strength=float(k)))
-        for k in k_values
-    ]
+    shocks = [EventModel(probability=float(probability), strength=float(k)) for k in k_values]
+    return _sweep(base_config, "homogeneous", (b1_values, b2_values), threads, collect_samples,
+                  shocks)
 
 
 # --- CSV export -------------------------------------------------------------

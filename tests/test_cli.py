@@ -156,10 +156,14 @@ def test_runtime_error_exit_code():
           "--b1-step", "1"], "config.validate: invalid axis for b1"),
         (["sweep", "--experiment", "homogeneous", "--b1-min", "0", "--b1-max", "1",
           "--b1-step", "1e-300"], "config.validate: invalid axis for b1"),
+        # refused before the first run of k=1, not after its grid
+        (["sweep", "--experiment", "events", "--k-values", "1,-1"],
+         "config.validate: event strength must be non-negative"),
     ],
     ids=["initial-price-inf", "initial-price-nan", "b1-nan", "b1-inf", "event-k-nan", "delta1-inf",
          "b1-step-nan", "b1-max-inf", "k-values-nan", "threads-0", "threads-negative",
-         "uniform-width-overflow", "uniform-bound-overflow", "b1-axis-empty", "b1-step-tiny"],
+         "uniform-width-overflow", "uniform-bound-overflow", "b1-axis-empty", "b1-step-tiny",
+         "k-values-negative"],
 )
 def test_non_finite_or_nonpositive_flag_is_usage_error(monkeypatch, argv, message):
     def no_run(*_args):
@@ -311,6 +315,50 @@ def test_sweep_colliding_k_values_is_usage_error(monkeypatch, tmp_path, k_values
                       "--out", str(tmp_path / "g.csv"))
     assert outcome.exit_code == 1
     assert outcome.message == f"config.validate: --k-values {shown} would write two grids to one file"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["simulate"], ["sweep", "--experiment", "homogeneous", *POINT],
+     ["sweep", "--experiment", "events", *POINT, "--k-values", "1,2"]],
+    ids=["simulate", "sweep", "events"],
+)
+@pytest.mark.parametrize("where", ["missing-dir", "directory"])
+def test_unwritable_output_is_io_error_before_any_run(monkeypatch, tmp_path, argv, where):
+    def no_run(*_args):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(engine, "run", no_run)
+    scatter = tmp_path / "dir" / "s.csv"
+    if where == "directory":  # where the (first) scatter output would go
+        (scatter.parent / ("s_k1.csv" if "events" in argv else "s.csv")).mkdir(parents=True)
+    outcome = run_cli(*argv, *SMALL, "--out", str(tmp_path / "g.csv"), "--scatter-out", str(scatter))
+    assert outcome.exit_code == 2
+    assert outcome.message.startswith("io: [Errno")
+    # the grid or trajectory output, opened first, is removed again
+    assert [path for path in tmp_path.rglob("*") if path.is_file()] == []
+
+
+@pytest.mark.parametrize(
+    "argv,paths,shared",
+    [(["simulate"], ["--out", "s.csv", "--summary", "./s.csv"], "s.csv"),
+     (["sweep", "--experiment", "homogeneous", *POINT], ["--out", "s.csv", "--scatter-out", "s.csv"],
+      "s.csv"),
+     # both name their k=2 file g_k2.csv
+     (["sweep", "--experiment", "events", *POINT, "--k-values", "2,3"],
+      ["--out", "g.csv", "--scatter-out", "g.csv"], "g_k2.csv")],
+    ids=["simulate", "sweep", "events"],
+)
+def test_two_outputs_naming_one_file_is_usage_error(monkeypatch, tmp_path, argv, paths, shared):
+    def no_run(*_args):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(engine, "run", no_run)
+    monkeypatch.chdir(tmp_path)
+    outcome = run_cli(*argv, *SMALL, *paths)
+    assert outcome.exit_code == 1
+    assert outcome.message == f"config.validate: two outputs name one file: {tmp_path / shared}"
     assert list(tmp_path.iterdir()) == []
 
 

@@ -108,10 +108,33 @@ def test_events_p_zero_matches_baseline_grid():
     assert zero_p.event_strength == 3.0
 
 
-def test_events_one_grid_per_strength():
-    grids = sweep_events(tiny(), k_values=[1.0, 2.0], probability=0.05,
-                         b1_values=[0.5], b2_values=[0.5])
-    assert [g.event_strength for g in grids] == [1.0, 2.0]
+def test_events_one_grid_per_strength(monkeypatch):
+    pool_maps = []
+
+    def counted(*args):
+        pool_maps.append(args)
+        return pool_map(*args)
+
+    def sample_bytes(grid):
+        return [a.tobytes() for _, samples in grid_runs(grid) for stock in samples for a in stock]
+
+    pool_map = sweep.engine.pool_map
+    monkeypatch.setattr(sweep.engine, "pool_map", counted)
+    for threads in (None, 2):
+        axes = dict(probability=0.05, b1_values=[0.5, -0.5], b2_values=[0.5], threads=threads,
+                    collect_samples=True)
+        pool_maps.clear()
+        grids = sweep_events(tiny(), k_values=[1.0, 2.0], **axes)
+        assert [g.event_strength for g in grids] == [1.0, 2.0]
+        # one task list and one pool for both strengths
+        assert len(pool_maps) == 1
+        # and each strength's grid is the one it gets alone, bit for bit
+        for grid, k in zip(grids, [1.0, 2.0]):
+            (alone,) = sweep_events(tiny(), k_values=[k], **axes)
+            assert grid.rho_runs.tobytes() == alone.rho_runs.tobytes()
+            assert len(sample_bytes(grid)) == 2 * 2 * 2 * 2  # cells x runs x stocks x series
+            assert sample_bytes(grid) == sample_bytes(alone)
+        assert len(pool_maps) == 3
 
 
 def test_grid_csv_format():
