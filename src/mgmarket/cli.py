@@ -4,9 +4,9 @@
 Parameters come from an optional flat config file (``--config`` or the
 ``MGMARKET_CONFIG`` environment variable) with command-line flags winning
 over file values.  All outputs are written atomically (temp file + rename) so
-aborted long sweeps never leave partial files behind.  ``simulate`` and
-``sweep`` create theirs before the first run, so an output that cannot be
-written, or two outputs that name one file, end the verb at once.
+aborted long sweeps never leave partial files behind.  Every verb creates its
+outputs before its work, so an output that cannot be written, or two outputs
+that name one file, end the verb at once.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 runtime error,
 3 verification failure.
@@ -24,7 +24,7 @@ import sys
 import tempfile
 from array import array
 from collections import defaultdict
-from contextlib import ExitStack, contextmanager, nullcontext
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -85,21 +85,13 @@ def _atomic_open(path: str):
 def _open_outputs(*paths: str | None):
     """Open every named output with :func:`_atomic_open` and yield the files,
     None for an unnamed one, so a path that cannot be written fails before any
-    run.  Two outputs that name one file are refused."""
+    work.  Two outputs that name one file are refused."""
     named = [os.path.abspath(path) for path in paths if path]
     for path in named:
         if named.count(path) > 1:
             raise ConfigError(f"two outputs name one file: {path}")
     with ExitStack() as stack:
         yield [stack.enter_context(_atomic_open(path)) if path else None for path in paths]
-
-
-def _write_report(path: str | None, header: list[str], rows) -> None:
-    """Write a CSV report atomically to ``path``, or to stdout without one."""
-    with _atomic_open(path) if path else nullcontext(sys.stdout) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
 
 
 def _float_list(text: str) -> list[float]:
@@ -314,13 +306,21 @@ def _cmd_sweep(args) -> CommandOutcome:
     return CommandOutcome(0)
 
 
+def _finite(text: str) -> float:
+    """``float(text)``, refusing a non-finite value, which no output holds."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {text!r}")
+    return value
+
+
 def _load_samples(paths) -> dict[int, list[tuple[np.ndarray, np.ndarray]]]:
     """Read trajectory or scatter CSVs into per-stock (expected, return)
     pairs, one per run: a trajectory file is one run, and a scatter file's
     runs come in (stock, run) order with their rows in file order.  Each
     value is packed into a C-double buffer as it is parsed, so a sample row
-    holds 16 bytes.  A malformed row is a configuration error naming its
-    file and line."""
+    holds 16 bytes.  A malformed row, a non-finite value included, is a
+    configuration error naming its file and line."""
     per_stock: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {1: [], 2: []}
     for path in paths:
         # (stock, run) -> (expected, return) buffers
@@ -334,18 +334,18 @@ def _load_samples(paths) -> dict[int, list[tuple[np.ndarray, np.ndarray]]]:
                 if header == market.TRAJECTORY_COLUMNS:
                     (x1, y1), (x2, y2) = runs[1, 0], runs[2, 0]
                     for r in reader:
-                        x1.append(float(r[4]))
-                        y1.append(float(r[2]))
-                        x2.append(float(r[8]))
-                        y2.append(float(r[6]))
+                        x1.append(_finite(r[4]))
+                        y1.append(_finite(r[2]))
+                        x2.append(_finite(r[8]))
+                        y2.append(_finite(r[6]))
                 else:
                     for r in reader:
                         key = (int(r[0]), int(r[1]))
                         if key[0] not in per_stock:
                             raise ValueError(f"no stock {key[0]}")
                         x, y = runs[key]
-                        x.append(float(r[3]))
-                        y.append(float(r[4]))
+                        x.append(_finite(r[3]))
+                        y.append(_finite(r[4]))
             except (ValueError, IndexError) as exc:
                 raise ConfigError(f"{path}: line {reader.line_num}: malformed row ({exc})") from None
         for (stock, _run), (x, y) in sorted(runs.items()):
@@ -354,12 +354,14 @@ def _load_samples(paths) -> dict[int, list[tuple[np.ndarray, np.ndarray]]]:
 
 
 def _stock_report(args, header: list[str], row_of) -> CommandOutcome:
-    """Write ``row_of(stock, pairs)`` for each stock with samples in the inputs."""
-    per_stock = _load_samples(args.inputs)
-    rows = [row_of(stock, pairs) for stock, pairs in per_stock.items() if pairs]
-    if not rows:
-        raise DegenerateSeriesError(f"no samples in {', '.join(args.inputs)}")
-    _write_report(args.out, header, rows)
+    """Write ``row_of(stock, pairs)`` for each stock with samples in the inputs
+    as CSV to ``--out``, or to stdout without one."""
+    with _open_outputs(args.out) as (out,):
+        per_stock = _load_samples(args.inputs)
+        rows = [row_of(stock, pairs) for stock, pairs in per_stock.items() if pairs]
+        if not rows:
+            raise DegenerateSeriesError(f"no samples in {', '.join(args.inputs)}")
+        csv.writer(out or sys.stdout).writerows([header, *rows])
     return CommandOutcome(0)
 
 
@@ -381,25 +383,25 @@ def _cmd_ar1(args) -> CommandOutcome:
 
 
 def _cmd_verify_appendix(args) -> CommandOutcome:
-    report = analytic.verify_appendix(n_samples=args.samples, master_seed=args.master_seed)
-
     def fmt(flag) -> str:
         return "-" if flag is None else ("ok" if flag else "FAIL")
 
     header = ["regime", "input", "output", "feasibility", "condition", "trend"]
-    rows = [
-        [check.regime, analytic.quadrant_str(check.input_quadrant),
-         analytic.quadrant_str(check.output_quadrant),
-         fmt(check.feasibility_ok), fmt(check.condition_ok), fmt(check.trend_ok)]
-        for check in report.checks
-    ]
+    with _open_outputs(args.out) as (out,):
+        report = analytic.verify_appendix(n_samples=args.samples, master_seed=args.master_seed)
+        rows = [
+            [check.regime, analytic.quadrant_str(check.input_quadrant),
+             analytic.quadrant_str(check.output_quadrant),
+             fmt(check.feasibility_ok), fmt(check.condition_ok), fmt(check.trend_ok)]
+            for check in report.checks
+        ]
+        if out:
+            csv.writer(out).writerows([header, *rows])
     line = "{:6} {:8} {:8} {:11} {:9} {:5}".format
     print("sampling model: return changes uniform over the signed unit box per quadrant")
     print(line(*header))
     for row, check in zip(rows, report.checks):
         print(line(*row) + (f"  {check.detail}" if check.detail else ""))
-    if args.out:
-        _write_report(args.out, header, rows)
     if report.passed:
         print(f"verify-appendix: all {len(report.checks)} cells agree at {report.n_samples} samples")
         return CommandOutcome(0)
@@ -432,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--k-values", dest="k_values", type=_float_list, help="comma-separated shock strengths"
     )
-    p.add_argument("--out", help="grid CSV (per-k suffix added for events)")
+    p.add_argument("--out", help="grid CSV (per-k suffix added when more than one strength)")
     p.add_argument("--scatter-out", dest="scatter_out")
     p.set_defaults(handler=_cmd_sweep)
 

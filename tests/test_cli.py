@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import mgmarket
-from mgmarket import ModelConfig, engine, run
+from mgmarket import ModelConfig, analytic, cli, engine, run
 from mgmarket.cli import _load_samples, dispatch
 
 
@@ -341,6 +341,28 @@ def test_unwritable_output_is_io_error_before_any_run(monkeypatch, tmp_path, arg
 
 
 @pytest.mark.parametrize(
+    "argv", [["regress", "in.csv"], ["ar1", "in.csv"], ["verify-appendix", "--samples", "1000"]],
+    ids=["regress", "ar1", "verify-appendix"],
+)
+@pytest.mark.parametrize("where", ["missing-dir", "directory"])
+def test_report_output_is_opened_before_the_work(monkeypatch, tmp_path, argv, where):
+    def no_work(*_args, **_kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(cli, "_load_samples", no_work)
+    monkeypatch.setattr(analytic, "verify_appendix", no_work)
+    monkeypatch.chdir(tmp_path)
+    Path("in.csv").write_text("stock,run,t,expected_return,return\n1,0,1,0.5,0.25\n")
+    out = tmp_path / "dir" / "r.csv"
+    if where == "directory":
+        out.mkdir(parents=True)
+    outcome = run_cli(*argv, "--out", str(out))
+    assert outcome.exit_code == 2
+    assert outcome.message.startswith("io: [Errno")
+    assert [path for path in tmp_path.rglob("*") if path.is_file()] == [tmp_path / "in.csv"]
+
+
+@pytest.mark.parametrize(
     "argv,paths,shared",
     [(["simulate"], ["--out", "s.csv", "--summary", "./s.csv"], "s.csv"),
      (["sweep", "--experiment", "homogeneous", *POINT], ["--out", "s.csv", "--scatter-out", "s.csv"],
@@ -461,7 +483,8 @@ def test_report_on_input_without_samples_is_runtime_error(tmp_path, verb):
 @pytest.mark.parametrize(
     "source,defect",
     [("scatter", "non-numeric"), ("scatter", "short"), ("scatter", "stock"),
-     ("trajectory", "non-numeric"), ("trajectory", "short")],
+     ("scatter", "non-finite"), ("trajectory", "non-numeric"), ("trajectory", "short"),
+     ("trajectory", "non-finite")],
 )
 def test_malformed_row_is_usage_error(tmp_path, verb, source, defect):
     path = tmp_path / f"{source}.csv"
@@ -470,6 +493,8 @@ def test_malformed_row_is_usage_error(tmp_path, verb, source, defect):
     cells = lines[3].split(",")
     if defect == "non-numeric":
         cells[4] = "x"
+    elif defect == "non-finite":
+        cells[4] = "nan"
     elif defect == "short":
         cells = cells[:2]
     else:
