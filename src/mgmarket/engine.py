@@ -9,8 +9,9 @@ Step protocol (main loop), using only step t-1 data as inputs:
    state is one integer whose (slots, rows) table slice is read, not gathered;
 3. each agent plays its highest-scoring strategy slot (ties uniform); with one
    coupling and fewer possible tables than agents, each held table is scored
-   once and ``tiebreak:j`` drawn only when a tie can change the demand, else
-   advanced;
+   once and ``tiebreak:j`` drawn only when a tie can change the demand; the
+   draws skipped are owed, and the stream advances by all it owes in one jump
+   just before the stock's next draw and at the end of the pass;
 4. decisions sum to the internal excess demand; an external shock is added
    when the event model is active;
 5. price and log return update from the total demand;
@@ -34,7 +35,6 @@ deviation of each stock's internal demand, then re-runs with shocks enabled.
 from __future__ import annotations
 
 import functools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -159,11 +159,12 @@ def simulate_trajectory(
             b = float(b[0])
             tables, counts, type_of = _agent_types(tables, config.decision_set)
             decided_at = scored_at = np.ascontiguousarray(tables.transpose(2, 1, 0))
-            if counts is not None:  # few rows: score in floats, not a cast per step
-                scored_at = decided_at.astype(np.float64)
+            if counts is not None:  # few rows: demand in int64 and score in floats, not a cast per step
+                decided_at, scored_at = decided_at.astype(np.int64), decided_at.astype(np.float64)
         k = len(tables)  # slot-major: slot s of row i is entry i + s * k, each column contiguous
         stocks.append((j, tables, b, decided_at, scored_at, np.zeros((s_slots, k)).T, counts, type_of,
                        np.arange(k), components.tiebreak_rngs[j], components.event_rngs[j]))
+    owed = [0, 0]  # tie-break draws each stock skipped since its last draw
     for t in range(horizon):
         step = warm + t
         lag = tuple(last_return)
@@ -177,14 +178,16 @@ def simulate_trajectory(
                 slot = scoring.select_slots(scores, rng)
                 a_int = market.excess_demand(decisions.T.reshape(-1)[rows + slot * n])
             else:
-                slot = scoring.select_slots(scores, decisions)
-                if np.minimum.reduce(slot) < 0:
+                played = scoring.select_slots(scores, decisions)
+                if played is None:
                     # a tie changes the demand: each agent takes its top slot of most jitter
+                    rng.bit_generator.advance(owed[j])
+                    owed[j] = 0
                     own_slot = scoring.top_slots(scores[type_of], rng.random((n, s_slots)))
                     a_int = market.excess_demand(decisions[type_of, own_slot])
-                else:  # skip the draw, not its stream
-                    rng.bit_generator.advance(n * s_slots)
-                    a_int = market.excess_demand(decisions[rows, slot], counts)
+                else:  # skip the draw, and owe its stream the advance
+                    owed[j] += n * s_slots
+                    a_int = market.excess_demand(played, counts)
             a_ext = 0.0
             if shock_amplitudes is not None:
                 a_ext = market.external_demand(
@@ -193,6 +196,8 @@ def simulate_trajectory(
 
             a_total = advance(j, step, a_int, a_ext)
             scoring.update_scores(scores, scored, a_total)
+    for rng, skipped in zip(components.tiebreak_rngs, owed):
+        rng.bit_generator.advance(skipped)
 
     # the population-mean expectation standing after each step's returns,
     # i.e. the forecast agents carry into the next step
@@ -259,6 +264,7 @@ def pool_map(fn, tasks: list, threads: int | None) -> list:
     chunks, so short tasks do not pay one round trip each.
     """
     if threads is not None and threads > 1 and len(tasks) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # a serial map need not import it
         chunk = max(1, len(tasks) // (threads * 8))
         with ProcessPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(fn, tasks, chunksize=chunk))

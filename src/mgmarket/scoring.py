@@ -9,7 +9,8 @@ against, the majority side loses the same amount, holds score zero.  Each
 step the agent plays its highest-scoring slot, ties broken uniformly at
 random.  Agents of one type (same tables and coupling) keep bit-identical
 scores; when no type's tied top slots decide differently, no draw can change
-the demand, and PCG64's ``advance`` leaves the stream where the draw would.
+the demand, so the no-draw selection returns the decisions the types play,
+and PCG64's ``advance`` leaves the stream where the draw would.
 
 The linear payoff keeps the crowd's adaptation gradual: score gaps scale with
 the imbalances a strategy traded through, so strategy rankings spread out
@@ -33,32 +34,34 @@ def update_scores(scores: np.ndarray, slot_decisions: np.ndarray, total_demand: 
         scores -= float(total_demand) * slot_decisions
 
 
-def select_slots(scores: np.ndarray, tiebreak) -> np.ndarray:
+def select_slots(scores: np.ndarray, tiebreak) -> np.ndarray | None:
     """Per-row (agent or agent type) index of a maximal score, ties uniform.
 
     With the tie-break generator, one jitter value per (row, slot) is drawn
     every call, a fixed function of the shape, and ranks the tied top slots;
-    with the rows' decisions, nothing is drawn (``clash`` below).  One entry
-    point, so each stock-step makes one call (perfbench's probes count them).
+    with the rows' decisions, nothing is drawn, and each row's played decision
+    or ``None`` is returned (``clash`` below).  One entry point, so each
+    stock-step makes one call (perfbench's probes count them).
     """
     if isinstance(tiebreak, np.random.Generator):
         return top_slots(scores, tiebreak.random(scores.shape))
     return top_slots(scores, tiebreak, clash=True)
 
 
-def top_slots(scores: np.ndarray, keys: np.ndarray, clash: bool = False) -> np.ndarray:
+def top_slots(scores: np.ndarray, keys: np.ndarray, clash: bool = False) -> np.ndarray | None:
     """Per-row index of a maximal score: of the top slots, the one of greatest
     ``keys``, the first on equal keys (argmax's rule, bit for bit).  With
-    ``clash``, ``keys`` are decisions: a row takes its first top slot, or
-    ``-1`` where another top slot decides differently.
+    ``clash``, ``keys`` are decisions, and the result is each row's played
+    decision, its first top slot's; or ``None`` when, in some row, another top
+    slot decides differently.
 
     A tournament over the slot columns, contiguous for the transpose of a
     slot-major array: elementwise work beats reductions over a few slots.
     """
     n_slots = scores.shape[1]
-    if n_slots == 1:
-        return np.zeros(len(scores), dtype=np.intp)
     columns, keys = scores.T, keys.T
+    if n_slots == 1:
+        return keys[0] if clash else np.zeros(len(scores), dtype=np.intp)
     best, best_key = columns[0], keys[0]
     for k in range(1, n_slots):
         column, key = columns[k], keys[k]
@@ -68,13 +71,13 @@ def top_slots(scores: np.ndarray, keys: np.ndarray, clash: bool = False) -> np.n
             unsettled = tie if k == 1 else (unsettled & ~take) | tie
         else:
             take |= (column == best) & (key > best_key)
-        if k == 1:
-            slot = take.astype(np.intp)
-        else:
-            np.putmask(slot, take, k)
+            if k == 1:
+                slot = take.astype(np.intp)
+            else:
+                np.putmask(slot, take, k)
         if k + 1 < n_slots:
             best = np.where(take, column, best)
             best_key = np.where(take, key, best_key)
     if clash:
-        np.putmask(slot, unsettled, -1)
+        return None if np.count_nonzero(unsettled) else np.where(take, key, best_key)
     return slot

@@ -198,6 +198,17 @@ def test_overflowing_value_exits_1_without_a_warning(argv, message):
     assert "Warning" not in proc.stderr
 
 
+def test_cli_import_leaves_the_process_pool_unloaded():
+    # only a map over more than one worker process imports the pool machinery;
+    # a fresh interpreter, since this one may have loaded it for another test
+    env = dict(os.environ, PYTHONPATH=str(Path(mgmarket.__file__).parents[1]))
+    probe = "import sys, mgmarket.cli; print('concurrent.futures.process' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_mixing_coupling_flags_rejected():
     outcome = run_cli("simulate", *SMALL, "--b1", "0.5", "--c1", "0.5")
     assert outcome.exit_code == 1

@@ -176,6 +176,18 @@ def _shared_types(cfg, components):
             for t, b in zip(components.tables, components.couplings)]
 
 
+class _CountingDraws(np.random.Generator):
+    """A generator on ``bit_generator`` that logs each ``random`` draw in ``draws``."""
+
+    def __init__(self, bit_generator, draws):
+        super().__init__(bit_generator)
+        self.draws = draws
+
+    def random(self, *args, **kwargs):
+        self.draws.append(args)
+        return super().random(*args, **kwargs)
+
+
 def test_agent_types_are_the_tables_agents_hold():
     # 301 agents hold fewer distinct (m=1, S=2) table pairs than the 2^8 possible
     cfg = small_config(n_agents=301)
@@ -212,34 +224,35 @@ def test_engine_matches_oracle_with_shared_agent_types(monkeypatch, overrides):
     _assert_engine_matches_oracle(cfg, 0)
     assert _shared_types(cfg, build_components(cfg, 0)) == [True, True]
     draws = []
-
-    class Counting(np.random.Generator):
-        def random(self, *args, **kwargs):
-            draws.append(args)
-            return super().random(*args, **kwargs)
-
     stream = seeding.stream
     monkeypatch.setattr(seeding, "stream", lambda seed, run_index, label: (
-        Counting(stream(seed, run_index, label).bit_generator) if label.startswith(seeding.TIEBREAK)
-        else stream(seed, run_index, label)))
+        _CountingDraws(stream(seed, run_index, label).bit_generator, draws)
+        if label.startswith(seeding.TIEBREAK) else stream(seed, run_index, label)))
     run(cfg, 0)
     passes = 1 if cfg.events is None else 2
     assert 0 < len(draws) < 2 * cfg.horizon * passes
 
 
 @pytest.mark.parametrize(
-    "overrides,shared",
-    [(dict(coupling=HomogeneousCoupling(0.5, -0.3)), True),
-     (dict(coupling=UniformCoupling(0.0, 1.0, 0.2, 0.5)), False),
-     (dict(coupling=HomogeneousCoupling(0.5, -0.3), allow_hold=True), False)],
-    ids=["shared-types", "distinct-agents", "shared-coupling-holds"],
+    "overrides,shared,shocks",
+    [(dict(coupling=HomogeneousCoupling(0.5, -0.3)), True, None),
+     (dict(coupling=HomogeneousCoupling(0.5, -0.3), events=EventModel(0.1, 2.0)), True, (9.0, 4.5)),
+     (dict(coupling=UniformCoupling(0.0, 1.0, 0.2, 0.5)), False, None),
+     (dict(coupling=HomogeneousCoupling(0.5, -0.3), allow_hold=True), False, None)],
+    ids=["shared-types", "shared-types-shocked", "distinct-agents", "shared-coupling-holds"],
 )
-def test_tiebreak_streams_end_where_per_agent_draws_leave_them(overrides, shared):
+def test_tiebreak_streams_end_where_per_agent_draws_leave_them(overrides, shared, shocks):
+    # type rows skip the draws no tie needs and advance by all they owe just
+    # before the next draw and at the end of the pass
     cfg = small_config(n_agents=301, **overrides)
     comps = build_components(cfg, 0)
     assert _shared_types(cfg, comps) == [shared, shared]
-    simulate_trajectory(cfg, comps)
-    for stock, rng in zip((1, 2), comps.tiebreak_rngs):
+    draws = []
+    counted = tuple(_CountingDraws(rng.bit_generator, draws) for rng in comps.tiebreak_rngs)
+    simulate_trajectory(cfg, replace(comps, tiebreak_rngs=counted), shocks)
+    if shared:  # both branches ran: some steps drew, and some skipped their draw
+        assert 0 < len(draws) < 2 * cfg.horizon
+    for stock, rng in zip((1, 2), counted):
         fresh = seeding.stream(cfg.master_seed, 0, seeding.stock_label(seeding.TIEBREAK, stock))
         for _ in range(cfg.horizon):
             fresh.random((cfg.n_agents, cfg.n_strategies))

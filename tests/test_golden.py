@@ -29,6 +29,9 @@ CASES = {
     "m3_s3": dict(n_agents=101, horizon=200, memory=3, n_strategies=3),
     "asymmetric_a": dict(n_agents=101, horizon=200, a=(1.0, 0.3)),
     "single_slot": dict(n_agents=101, horizon=200, n_strategies=1),
+    # 301 agents, more than the 2^8 possible (m=1, S=2) tables: the S=2 agent-type kernel
+    "shared_types": dict(n_agents=301, horizon=200),
+    "shared_types_events": dict(n_agents=301, horizon=200, events=EventModel(0.05, 2.0)),
 }
 
 GOLDEN = {
@@ -39,6 +42,8 @@ GOLDEN = {
     "m3_s3": "2ea3a0a628aabe1c7ebd9a6280a25d9eedc10e13ce10197b36e60decb1b2aadd",
     "asymmetric_a": "07abf85613ae4d1d197ffbcde5bcba0366863d1403989eaed069ebe2db87446b",
     "single_slot": "219e81d63bf98fc2764f128c19ec99cdc7d0c72128456f99b35d995b1e89d7f9",
+    "shared_types": "c92564f2a8ed91db790c113def16b80ff2da37db32ce6f69f7dcff8114b5a2e5",
+    "shared_types_events": "dd7be19c1a017c046e4510e5aa4184f46fcc437f8cec7ce6e109b3ea351b100c",
 }
 
 

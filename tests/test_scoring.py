@@ -162,23 +162,46 @@ def _no_draw_choice(scores, decisions):
     return out
 
 
+def _row_by_row(scores, decisions):
+    """``select_slots`` without a draw on each single-row slice: the row's
+    played decision, or None."""
+    out = []
+    for i in range(len(scores)):
+        played = select_slots(scores[i : i + 1], decisions[i : i + 1])
+        assert played is None or (played.shape == (1,) and played.dtype == decisions.dtype)
+        out.append(None if played is None else played.item())
+    return out
+
+
 @given(data=st.data(), shape=SHAPES, seed=st.integers(0, 2**32 - 1), transposed=st.booleans())
 def test_select_slots_without_draw_settles_rows_no_draw_can_change(data, shape, seed, transposed):
     scores = data.draw(hnp.arrays(np.float64, shape, elements=st.integers(-2, 2).map(float)))
     decisions = data.draw(hnp.arrays(np.int8, shape, elements=st.sampled_from((-1, 0, 1))))
     if transposed:  # slot-major, as the engine keeps both
         scores, decisions = (np.ascontiguousarray(x.T).T for x in (scores, decisions))
-    slot = select_slots(scores, decisions)
-    assert slot.dtype == np.intp
-    assert slot.tolist() == _no_draw_choice(scores, decisions)
+    choice = _no_draw_choice(scores, decisions)
+    rows = _row_by_row(scores, decisions)
+    # a row is unsettled exactly where a tied top slot decides differently,
+    # else it plays its first top slot's decision
+    assert rows == [None if k < 0 else decisions[i, k].item() for i, k in enumerate(choice)]
+    # the whole array is refused exactly when some row is
+    played = select_slots(scores, decisions)
+    if None in rows:
+        assert played is None
+    else:
+        assert played.dtype == decisions.dtype
+        assert played.tolist() == rows
     # a settled row plays what the jitter draw would have made it play
     drawn = select_slots(scores, np.random.default_rng(seed))
-    rows = np.flatnonzero(slot >= 0)
-    assert np.array_equal(decisions[rows, slot[rows]], decisions[rows, drawn[rows]])
+    for i, decision in enumerate(rows):
+        if decision is not None:
+            assert decisions[i, drawn[i]] == decision
 
 
 def test_select_slots_without_draw_examples():
     scores = np.array([[1.0, 3.0, 3.0], [3.0, 3.0, 1.0], [3.0, 3.0, 5.0], [2.0, 2.0, 2.0]])
     decisions = np.array([[1, -1, -1], [1, -1, 1], [1, -1, 1], [0, 0, 1]], dtype=np.int8)
-    assert select_slots(scores, decisions).tolist() == [1, -1, 2, -1]
-    assert select_slots(np.array([[4.0], [-1.0]]), np.array([[1], [-1]])).tolist() == [0, 0]
+    assert _row_by_row(scores, decisions) == [-1, None, 1, None]
+    assert select_slots(scores, decisions) is None
+    assert select_slots(scores[[0, 2]], decisions[[0, 2]]).tolist() == [-1, 1]
+    assert select_slots(np.array([[4.0], [-1.0]]), np.array([[1], [-1]])).tolist() == [1, -1]
