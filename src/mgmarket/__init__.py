@@ -31,8 +31,6 @@ from .analytic import (
     FeasibilityVerdict,
     brute_force_feasibility,
     classify,
-    expectation_delta,
-    predict_correlation_sign,
     verify_appendix,
 )
 from .stats import Ar1Report, RegressionReport, ar1, ar1_pooled, ols, pearson
@@ -65,11 +63,9 @@ __all__ = [
     "brute_force_feasibility",
     "classify",
     "config_digest",
-    "expectation_delta",
     "from_text",
     "ols",
     "pearson",
-    "predict_correlation_sign",
     "run",
     "run_many",
     "sweep_centers",

@@ -121,13 +121,6 @@ CASE_TABLE: dict[tuple[str, Quadrant, Quadrant], FeasibilityVerdict] = {
 }
 
 
-def expectation_delta(
-    a: tuple[float, float], b: tuple[float, float], dr: tuple[float, float]
-) -> tuple[float, float]:
-    """One-step changes of both expected returns from the return changes."""
-    return (a[0] * dr[0] + b[0] * dr[1], a[1] * dr[1] + b[1] * dr[0])
-
-
 def classify(
     regime: str,
     input_quadrant: Quadrant,
@@ -177,21 +170,6 @@ def brute_force_feasibility(
         raise ValueError(f"b={b} outside open box of regime {regime}")
     _, _, masks = _sample(b, input_quadrant, n_samples, rng)
     return {q: float(np.count_nonzero(m)) / n_samples for q, m in masks.items()}
-
-
-def predict_correlation_sign(b: tuple[float, float]) -> str:
-    """Qualitative return-correlation forecast from coupling weights or
-    distribution centers: 'positive', 'negative' or 'weak'."""
-    b1, b2 = b
-    if not (-1.0 < b1 < 1.0 and -1.0 < b2 < 1.0):
-        raise ValueError(f"components must lie in (-1, 1), got {b}")
-    if abs(b1) < 0.1 or abs(b2) < 0.1:
-        return "weak"
-    if b1 > 0 and b2 > 0:
-        return "positive"
-    if b1 < 0 and b2 < 0:
-        return "negative"
-    return "weak"
 
 
 # --- oracle-agreement verification ----------------------------------------

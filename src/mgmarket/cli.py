@@ -94,15 +94,21 @@ def _open_outputs(*paths: str | None):
         yield [stack.enter_context(_atomic_open(path)) if path else None for path in paths]
 
 
+def _finite(text: str) -> float:
+    """``float(text)``, refusing a non-finite value, which neither an output
+    nor ``--k-values`` holds."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {text!r}")
+    return value
+
+
 def _float_list(text: str) -> list[float]:
     """argparse type of a comma-separated list of finite numbers."""
     try:
-        values = [float(v) for v in text.split(",")]
-        if all(map(math.isfinite, values)):
-            return values
+        return [_finite(v) for v in text.split(",")]
     except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"expected finite numbers, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected finite numbers, got {text!r}") from None
 
 
 def _positive_int(text: str) -> int:
@@ -304,14 +310,6 @@ def _cmd_sweep(args) -> CommandOutcome:
             f"in {grid.elapsed_seconds:.1f}s"
         )
     return CommandOutcome(0)
-
-
-def _finite(text: str) -> float:
-    """``float(text)``, refusing a non-finite value, which no output holds."""
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"non-finite value {text!r}")
-    return value
 
 
 def _load_samples(paths) -> dict[int, list[tuple[np.ndarray, np.ndarray]]]:

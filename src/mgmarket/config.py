@@ -102,6 +102,8 @@ def validate(config: ModelConfig) -> ModelConfig:
         raise ConfigError(f"horizon must be at least 2, got {config.horizon}")
     if config.initial_price <= 0:
         raise ConfigError(f"initial_price must be positive, got {config.initial_price}")
+    if len(config.a) != 2:
+        raise ConfigError(f"a must hold two weights (a1, a2), got {config.a!r}")
     for j, aj in enumerate(config.a, start=1):
         if not 0.0 < aj <= 1.0:
             raise CoefficientOutOfRangeError(f"a{j} must lie in (0, 1], got {aj}")

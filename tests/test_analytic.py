@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,19 +11,8 @@ from mgmarket.analytic import (
     REGIME_SIGNS,
     brute_force_feasibility,
     classify,
-    expectation_delta,
-    predict_correlation_sign,
     verify_appendix,
 )
-
-
-def test_expectation_delta_examples():
-    assert expectation_delta((1, 1), (0.5, 0.5), (0.1, 0.1)) == pytest.approx((0.15, 0.15))
-    assert expectation_delta((1, 1), (1, 1), (0.1, -0.1)) == pytest.approx((0.0, 0.0))
-    assert expectation_delta((1, 1), (0, 0), (0.03, -0.07)) == pytest.approx((0.03, -0.07))
-    assert expectation_delta((0.5, 0.1), (0.2, -0.3), (0.1, 0.2)) == pytest.approx(
-        (0.5 * 0.1 + 0.2 * 0.2, 0.1 * 0.2 - 0.3 * 0.1)
-    )
 
 
 def test_classify_known_infeasible_case():
@@ -127,22 +117,35 @@ def test_brute_force_rejects_out_of_regime_b():
         brute_force_feasibility("I", (0.5, -0.5), (1, 1), 10, np.random.default_rng(0))
 
 
-def test_predict_correlation_sign():
-    assert predict_correlation_sign((0.8, 0.8)) == "positive"
-    assert predict_correlation_sign((-0.8, -0.8)) == "negative"
-    assert predict_correlation_sign((0.8, -0.8)) == "weak"
-    assert predict_correlation_sign((-0.8, 0.8)) == "weak"
-    assert predict_correlation_sign((0.05, 0.9)) == "weak"
-    with pytest.raises(ValueError):
-        predict_correlation_sign((1.0, 0.5))
-
-
 def test_verify_appendix_small_sample_smoke():
     report = verify_appendix(n_samples=30_000, master_seed=5)
     assert report.passed, [c for c in report.checks if not c.passed]
     assert len(report.checks) == 64
     trend_checks = [c for c in report.checks if c.trend_ok is not None]
     assert len(trend_checks) == 28
+
+
+def test_verify_appendix_reports_each_wrong_verdict(monkeypatch):
+    # a reachable cell called unreachable, a condition with its bounds swapped
+    # and a trend in the reversed direction; each must fail on its own flag
+    unreachable, swapped, reversed_trend = (
+        ("I", (1, 1), (1, 1)), ("I", (1, -1), (1, -1)), ("III", (1, 1), (1, 1))
+    )
+    bounded, trending = CASE_TABLE[swapped], CASE_TABLE[reversed_trend]
+    wrong = {
+        unreachable: analytic.FeasibilityVerdict(False),
+        swapped: replace(bounded, lower=bounded.upper, upper=bounded.lower),
+        reversed_trend: replace(trending, direction="increasing"),
+    }
+    monkeypatch.setattr(analytic, "CASE_TABLE", {**CASE_TABLE, **wrong})
+    report = verify_appendix(n_samples=30_000, master_seed=5)
+    failed = {(c.regime, c.input_quadrant, c.output_quadrant): c for c in report.failures}
+    assert {key: (c.feasibility_ok, c.condition_ok, c.trend_ok) for key, c in failed.items()} == {
+        unreachable: (False, None, None),
+        swapped: (True, False, True),
+        reversed_trend: (True, True, False),
+    }
+    assert all(c.detail for c in failed.values())
 
 
 def _sample_out_of_place(b, input_quadrant, n_samples, rng):

@@ -490,6 +490,14 @@ def test_report_on_input_without_samples_is_runtime_error(tmp_path, verb):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["empty.csv"]
 
 
+def test_regress_on_unknown_header_is_usage_error(tmp_path):
+    path = tmp_path / "other.csv"
+    path.write_text("a,b\n1,2\n")
+    outcome = run_cli("regress", str(path))
+    assert outcome.exit_code == 1
+    assert outcome.message == f"config.validate: {path}: unrecognized CSV header ['a', 'b']"
+
+
 @pytest.mark.parametrize("verb", ["regress", "ar1"])
 @pytest.mark.parametrize(
     "source,defect",
@@ -592,6 +600,18 @@ def test_verify_appendix_small(capsys):
     assert outcome.exit_code == 0
     printed = capsys.readouterr().out
     assert "verify-appendix: all 64 cells agree" in printed
+
+
+def test_verify_appendix_disagreement_exits_3(tmp_path):
+    # one sample per point makes no frequency strictly monotone, so each of
+    # the 28 cells with a trend fails
+    out = tmp_path / "v.csv"
+    outcome = run_cli("verify-appendix", "--samples", "1", "--out", str(out))
+    assert outcome.exit_code == 3
+    assert outcome.message == "analytic.verify_appendix: 28 cells disagree with the oracle"
+    rows = read_rows(out)
+    assert len(rows) == 1 + 64
+    assert sum("FAIL" in row for row in rows[1:]) == 28
 
 
 @pytest.mark.parametrize("samples", ["0", "-5"])

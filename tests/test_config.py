@@ -41,6 +41,18 @@ def test_persistence_weight_out_of_range(a):
         validate(ModelConfig(a=a))
 
 
+@pytest.mark.parametrize("a", [(0.5,), (0.5, 0.5, 0.5)], ids=["one", "three"])
+def test_persistence_weights_not_two_rejected(a):
+    with pytest.raises(ConfigError, match=r"^a must hold two weights \(a1, a2\), got "):
+        validate(ModelConfig(a=a))
+
+
+def test_memory_above_maximum_rejected():
+    # by its own check: the strategy-table budget would refuse it too
+    with pytest.raises(ConfigError, match="^memory 21 exceeds supported maximum 20$"):
+        validate(ModelConfig(memory=21))
+
+
 def test_negative_delta_rejected():
     with pytest.raises(CoefficientOutOfRangeError):
         validate(ModelConfig(coupling=UniformCoupling(0.0, -0.5, 0.0, 1.0)))
@@ -162,12 +174,20 @@ def test_duplicate_key_rejected():
     [
         ("n_agents = 1.5\n", "line 1: n_agents must be an integer, got '1.5'"),
         ("memory = 1\nb1 = abc\n", "line 2: b1 must be a number, got 'abc'"),
+        ("n_agents 11\n", "line 1: expected 'key = value', got 'n_agents 11'"),
+        ("allow_hold = maybe\n", "line 1: allow_hold must be true or false"),
+        ("coupling = normal\n", "line 1: coupling must be homogeneous or uniform"),
     ],
 )
 def test_malformed_value_is_config_error(text, message):
     with pytest.raises(ConfigError) as err:
         parse_items(text)
     assert str(err.value) == message
+
+
+def test_unused_key_rejected():
+    with pytest.raises(ConfigError, match=r"^unused keys \['foo'\]$"):
+        from_items({"foo": 1})
 
 
 def test_comments_and_blank_lines_ignored():

@@ -7,6 +7,7 @@ from mgmarket import HomogeneousCoupling, UniformCoupling, sweep
 from mgmarket.sweep import (
     GRID_COLUMNS,
     SCATTER_COLUMNS,
+    SweepGrid,
     cell_seed,
     grid_runs,
     sweep_centers,
@@ -195,22 +196,36 @@ def test_scatter_requires_collection():
         grid_runs(grid)
 
 
-def test_sweep_signs_match_analytic_prediction():
-    from mgmarket.analytic import predict_correlation_sign
+@pytest.mark.parametrize(
+    "rho_runs,message",
+    [(np.zeros((2, 2, 1)), "cell count must equal the axis product"),
+     (np.full((2, 3, 2), 1.5), r"cell means must lie in \[-1, 1\]")],
+    ids=["shape", "mean-above-1"],
+)
+def test_sweep_grid_refuses_inconsistent_cells(rho_runs, message):
+    axes = (np.array([-0.5, 0.5]), np.array([-0.5, 0.0, 0.5]))
+    with pytest.raises(ValueError, match=message):
+        SweepGrid(axes, rho_runs, elapsed_seconds=0.0)
 
+
+def test_sweep_signs_match_analytic_prediction():
     grid = sweep_homogeneous(
         tiny(n_agents=101, horizon=300, n_runs=10, master_seed=1717),
         b1_values=[-0.9, 0.0, 0.9], b2_values=[-0.9, 0.0, 0.9], threads=2,
     )
     strongest = max(grid.mean_rho[0, 0], grid.mean_rho[2, 2], key=abs)
+    # returns co-move when both expectations lean on the other stock's past
+    # return and move apart when both lean against it; every other cell is weak
+    predicted = {(-0.9, -0.9): "negative", (0.9, 0.9): "positive"}
+    assert predicted.keys() <= {(b1, b2) for b1 in grid.axes[0] for b2 in grid.axes[1]}
     matches = 0
     for i1, b1 in enumerate(grid.axes[0]):
         for i2, b2 in enumerate(grid.axes[1]):
             mean = grid.mean_rho[i1, i2]
-            predicted = predict_correlation_sign((b1, b2))
-            if predicted == "positive":
+            sign = predicted.get((b1, b2), "weak")
+            if sign == "positive":
                 matches += mean > 0.05
-            elif predicted == "negative":
+            elif sign == "negative":
                 matches += mean < -0.05
             else:
                 # weak cells sit strictly below the strong diagonal corners
