@@ -33,7 +33,7 @@ from .analytic import (
     classify,
     verify_appendix,
 )
-from .stats import Ar1Report, RegressionReport, ar1, ar1_pooled, ols, pearson
+from .stats import Ar1Report, RegressionReport, ar1_pooled, ols, pearson
 from .sweep import (
     SweepGrid,
     sweep_centers,
@@ -58,7 +58,6 @@ __all__ = [
     "RunResult",
     "SweepGrid",
     "UniformCoupling",
-    "ar1",
     "ar1_pooled",
     "brute_force_feasibility",
     "classify",

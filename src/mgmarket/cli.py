@@ -201,6 +201,9 @@ def _write_summary(fh, config, overrides, batch) -> None:
 
 def _cmd_simulate(args) -> CommandOutcome:
     config, overrides = _resolve_config(args)
+    if config.events is not None and 0.0 in (config.events.probability, config.events.strength):
+        raise ConfigError("an event model with probability or strength 0 never shocks:"
+                          " give --event-p and --event-k above 0, or --no-events")
     with _open_outputs(args.out, args.scatter_out, args.summary) as (out, scatter_out, summary):
         batch = engine.run_many(config, threads=args.threads)
         if out:

@@ -23,6 +23,7 @@ _MAX_MEMORY = 20  # 2^(m+1) strategy rows; anything bigger is a config mistake
 # bytes of the int64 draw behind one stock's strategy tables
 # (see strategy.sample_strategy_tables); configs above it cannot fit in memory
 _MAX_TABLE_DRAW_BYTES = 1 << 30
+DEFAULT_EVENT_PROBABILITY = 0.0082  # the paper's; an event model without one takes it
 
 
 @dataclass(frozen=True)
@@ -125,9 +126,16 @@ def validate(config: ModelConfig) -> ModelConfig:
             )
     if config.n_runs <= 0:
         raise ConfigError(f"n_runs must be positive, got {config.n_runs}")
-    for key, value in _items(config):
+    # the config format is the one type rule: each value must read back from its line
+    for (key, value), line in zip(_items(config), to_text(config).splitlines()):
         if _KEYS[key] is float and not math.isfinite(value):
             raise ConfigError(f"{key} must be finite, got {value}")
+        try:
+            read_back = parse_items(line) == {key: value}
+        except ConfigError:
+            read_back = False
+        if not read_back:
+            raise ConfigError(f"{key} = {value!r} does not read back from its config text")
     if isinstance(config.coupling, UniformCoupling):
         for j, c, d in ((1, config.coupling.c1, config.coupling.delta1),
                         (2, config.coupling.c2, config.coupling.delta2)):
@@ -240,7 +248,7 @@ def from_items(items: dict[str, object]) -> ModelConfig:
     events = None
     if "event_probability" in items or "event_strength" in items:
         events = EventModel(
-            probability=float(items.pop("event_probability", 0.0)),
+            probability=float(items.pop("event_probability", DEFAULT_EVENT_PROBABILITY)),
             strength=float(items.pop("event_strength", 0.0)),
         )
     a = tuple(float(items.pop(key, default)) for key, default in zip(("a1", "a2"), defaults.a))

@@ -83,11 +83,6 @@ class Ar1Report:
     n: int
 
 
-def ar1(series) -> Ar1Report:
-    """First-order autoregressive coefficient: OLS slope of r(t) on r(t-1)."""
-    return ar1_pooled([series])
-
-
 def ar1_pooled(series_list: Sequence[np.ndarray]) -> Ar1Report:
     """AR(1) slope over lag pairs pooled from several series.
 

@@ -28,6 +28,7 @@ import numpy as np
 
 from . import engine
 from .config import (
+    DEFAULT_EVENT_PROBABILITY,
     Coupling,
     EventModel,
     HomogeneousCoupling,
@@ -37,7 +38,6 @@ from .config import (
 )
 from .seeding import fold_seed
 
-DEFAULT_EVENT_PROBABILITY = 0.0082
 DEFAULT_K_VALUES = (1.0, 2.0, 3.0, 4.0)
 
 # plane -> (the two coupling fields it sweeps, their default axis)
@@ -183,21 +183,16 @@ def sweep_events(
     k_values: Sequence[float] = DEFAULT_K_VALUES,
     b1_values: Optional[Sequence[float]] = None,
     b2_values: Optional[Sequence[float]] = None,
-    probability: Optional[float] = None,
     threads: Optional[int] = None,
     collect_samples: bool = False,
 ) -> list[SweepGrid]:
     """One homogeneous grid per external-shock strength k, from one :func:`_sweep` call.
 
+    Shocks take the base's event probability, or the paper's without an event model.
     Cells across strengths share seeds, so each k grid is a paired variant of
     the k=0 baseline.  Every strength is checked before the first run.
     """
-    if probability is None:
-        probability = (
-            base_config.events.probability
-            if base_config.events is not None
-            else DEFAULT_EVENT_PROBABILITY
-        )
+    probability = getattr(base_config.events, "probability", DEFAULT_EVENT_PROBABILITY)
     shocks = [EventModel(probability=float(probability), strength=float(k)) for k in k_values]
     return _sweep(base_config, "homogeneous", (b1_values, b2_values), threads, collect_samples,
                   shocks)

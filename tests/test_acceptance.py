@@ -20,7 +20,7 @@ from scipy.stats import spearmanr
 import mgmarket as mg
 from mgmarket.analytic import verify_appendix
 from mgmarket.engine import run, run_many
-from mgmarket.stats import ar1, ar1_pooled, ols
+from mgmarket.stats import ar1_pooled, ols
 from mgmarket.sweep import (
     grid_runs,
     sweep_centers,
@@ -95,8 +95,8 @@ class AcceptanceLab:
         key = ("ev", b1, b2, k, probability, runs)
         if key not in self._cache:
             grid = sweep_events(
-                self._base(runs),
-                k_values=[k], probability=probability,
+                self._base(runs, events=mg.EventModel(probability, 0.0)),
+                k_values=[k],
                 b1_values=[b1], b2_values=[b2], threads=THREADS,
             )[0]
             self._cache[key] = grid
@@ -263,7 +263,7 @@ def test_criterion_11_ar1_sanity(lab):
         for stock in (0, 1)
     ]
     rep = ar1_pooled(series)
-    per_series = np.array([ar1(s).phi for s in series])
+    per_series = np.array([ar1_pooled([s]).phi for s in series])
     se = float(per_series.std(ddof=1)) / np.sqrt(len(series))
     t_ratio = rep.phi / se
     check(11, "AR(1) of simulated returns anti-persistent", t_ratio <= -3.0,

@@ -1,4 +1,5 @@
 import itertools
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -19,6 +20,19 @@ def test_classify_known_infeasible_case():
     verdict = classify("I", (1, -1), (-1, 1))
     assert not verdict.feasible
     assert verdict.variable is None
+
+
+@pytest.mark.parametrize(
+    "regime,input_quadrant,output_quadrant,message",
+    [("V", (1, 1), (1, 1), "unknown regime 'V'"),
+     ("I", (1, 0), (1, 1), "quadrants must be pairs of +1/-1"),
+     ("I", (1, 1), (1, 1, 1), "quadrants must be pairs of +1/-1")],
+    ids=["unknown-regime", "zero-sign", "triple"],
+)
+def test_classify_refuses_unknown_regime_and_quadrant(regime, input_quadrant, output_quadrant,
+                                                      message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        classify(regime, input_quadrant, output_quadrant)
 
 
 def test_classify_bounded_case_with_both_limits():

@@ -23,6 +23,8 @@ def read_rows(path):
 
 
 SMALL = ["--n-agents", "31", "--horizon", "50", "--runs", "2", "--seed", "7", "--threads", "1"]
+NEVER_SHOCKS = ("config.validate: an event model with probability or strength 0 never shocks:"
+                " give --event-p and --event-k above 0, or --no-events")
 
 
 def test_simulate_happy_path(tmp_path):
@@ -79,6 +81,18 @@ def test_no_events_drops_event_keys_of_file_and_flags(tmp_path):
     assert not {"event_probability", "event_strength"} & dropped["config"].keys()
     assert dropped["overrides"] == {}
     assert dropped["runs"] == plain["runs"]
+
+
+def test_simulate_event_strength_alone_shocks_at_the_paper_probability(tmp_path):
+    long = ["--n-agents", "31", "--horizon", "400", "--runs", "2", "--seed", "7", "--threads", "1"]
+    runs = {}
+    for name, flags in {"k": ["--event-k", "3"], "pk": ["--event-p", "0.0082", "--event-k", "3"],
+                        "plain": []}.items():
+        summary = tmp_path / f"{name}.json"
+        assert run_cli("simulate", *long, *flags, "--summary", str(summary)).exit_code == 0
+        runs[name] = json.loads(summary.read_text())["runs"]
+    assert runs["k"] == runs["pk"]
+    assert runs["k"] != runs["plain"]
 
 
 def test_config_env_var(tmp_path, monkeypatch):
@@ -159,11 +173,14 @@ def test_runtime_error_exit_code():
         # refused before the first run of k=1, not after its grid
         (["sweep", "--experiment", "events", "--k-values", "1,-1"],
          "config.validate: event strength must be non-negative"),
+        # an event model that never shocks would run the unshocked batch twice
+        *[(["simulate", *flags], NEVER_SHOCKS) for flags in
+          (["--event-p", "0.05"], ["--event-k", "0"], ["--event-p", "0", "--event-k", "3"])],
     ],
     ids=["initial-price-inf", "initial-price-nan", "b1-nan", "b1-inf", "event-k-nan", "delta1-inf",
          "b1-step-nan", "b1-max-inf", "k-values-nan", "threads-0", "threads-negative",
          "uniform-width-overflow", "uniform-bound-overflow", "b1-axis-empty", "b1-step-tiny",
-         "k-values-negative"],
+         "k-values-negative", "event-p-alone", "event-k-zero", "event-p-zero"],
 )
 def test_non_finite_or_nonpositive_flag_is_usage_error(monkeypatch, argv, message):
     def no_run(*_args):
@@ -327,6 +344,23 @@ def test_sweep_colliding_k_values_is_usage_error(monkeypatch, tmp_path, k_values
     assert outcome.exit_code == 1
     assert outcome.message == f"config.validate: --k-values {shown} would write two grids to one file"
     assert list(tmp_path.iterdir()) == []
+
+
+def test_events_sweep_from_strength_only_file_shocks_at_the_paper_probability(tmp_path):
+    body = "n_agents = 31\nhorizon = 400\nn_runs = 2\nmaster_seed = 7\n"
+    files = {"k": "event_strength = 3\n", "pk": "event_probability = 0.0082\nevent_strength = 3\n",
+             "plain": ""}
+    grids = {}
+    for name, events in files.items():
+        cfg, out = tmp_path / f"{name}.cfg", tmp_path / f"{name}.csv"
+        cfg.write_text(body + events)
+        experiment = "homogeneous" if name == "plain" else "events"
+        k_values = [] if name == "plain" else ["--k-values", "3"]
+        assert run_cli("sweep", "--experiment", experiment, "--config", str(cfg), *POINT, *k_values,
+                       "--threads", "1", "--out", str(out)).exit_code == 0
+        grids[name] = out.read_bytes()
+    assert grids["k"] == grids["pk"]
+    assert grids["k"] != grids["plain"]
 
 
 @pytest.mark.parametrize(
@@ -614,7 +648,7 @@ def test_verify_appendix_disagreement_exits_3(tmp_path):
     assert sum("FAIL" in row for row in rows[1:]) == 28
 
 
-@pytest.mark.parametrize("samples", ["0", "-5"])
+@pytest.mark.parametrize("samples", ["0", "-5", "abc"])
 def test_verify_appendix_nonpositive_samples_is_usage_error(samples):
     outcome = run_cli("verify-appendix", "--samples", samples)
     assert outcome.exit_code == 1

@@ -1,5 +1,7 @@
+import re
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -63,6 +65,38 @@ def test_event_probability_bounds():
         validate(ModelConfig(events=EventModel(probability=1.5, strength=1.0)))
     with pytest.raises(CoefficientOutOfRangeError):
         validate(ModelConfig(events=EventModel(probability=0.5, strength=-1.0)))
+
+
+def test_event_strength_alone_takes_the_paper_probability():
+    cfg = from_items({"event_strength": 3.0})
+    assert cfg.events == EventModel(probability=0.0082, strength=3.0)
+    assert cfg == from_items({"event_probability": 0.0082, "event_strength": 3.0})
+
+
+def test_unsupported_coupling_spec_rejected():
+    with pytest.raises(ConfigError, match=r"^unsupported coupling spec \(0.5, 0.5\)$"):
+        validate(ModelConfig(coupling=(0.5, 0.5)))
+
+
+@pytest.mark.parametrize(
+    "field,value,shown",
+    [("allow_hold", "no", "allow_hold = 'no'"), ("n_agents", 11.0, "n_agents = 11.0"),
+     ("master_seed", 1.5, "master_seed = 1.5"), ("n_agents", True, "n_agents = True")],
+    ids=["allow-hold-word", "float-agents", "float-seed", "bool-agents"],
+)
+def test_config_whose_text_does_not_read_back_rejected(field, value, shown):
+    cfg = ModelConfig(**{field: value})
+    with pytest.raises(ConfigError, match=f"^{re.escape(shown)} does not read back"):
+        validate(cfg)
+
+
+@pytest.mark.parametrize(
+    "field,value", [("n_agents", np.int64(11)), ("initial_price", 2000)], ids=["np-int64", "int"]
+)
+def test_config_whose_text_reads_back_accepted(field, value):
+    cfg = ModelConfig(**{field: value})
+    assert validate(cfg) is cfg
+    assert from_text(to_text(cfg)) == cfg
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,7 @@ from dataclasses import fields, replace
 from hypothesis import given, reject, settings, strategies as st
 
 from mgmarket import (
+    CoefficientOutOfRangeError,
     DegenerateSeriesError,
     EventModel,
     HomogeneousCoupling,
@@ -438,3 +439,13 @@ def test_initial_price_robustness(initial_price):
 def test_asymmetric_persistence_weights_smoke(a):
     result = run(small_config(a=a), 0)
     assert -1.0 <= result.correlation <= 1.0
+
+
+def test_uniform_couplings_summed_past_float_range_refused():
+    # validate passes: each draw lies in a finite support and |c1| * n_agents is 0,
+    # but the 101 drawn couplings sum past the float range
+    cfg = ModelConfig(n_agents=101, horizon=20, coupling=UniformCoupling(0.0, 8e307, 0.0, 1.0),
+                      n_runs=1)
+    message = "^couplings summed over 101 agents overflow$"
+    with pytest.raises(CoefficientOutOfRangeError, match=message):
+        run(cfg, 0)

@@ -1,3 +1,5 @@
+import pytest
+
 from mgmarket import seeding
 
 
@@ -36,3 +38,8 @@ def test_streams_produce_independent_draws():
     g1 = seeding.stream(42, 0, "strategies:1")
     g2 = seeding.stream(42, 0, "strategies:2")
     assert g1.integers(0, 2, 32).tolist() != g2.integers(0, 2, 32).tolist()
+
+
+def test_negative_run_index_rejected():
+    with pytest.raises(ValueError, match="^run_index must be non-negative$"):
+        seeding.derive_seed(1, -1, "strategies")

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mgmarket import DegenerateSeriesError
-from mgmarket.stats import ar1, ar1_pooled, ols, pearson
+from mgmarket.stats import ar1_pooled, ols, pearson
 
 
 def test_pearson_perfect_correlation():
@@ -34,7 +34,7 @@ def test_non_finite_series_refused(bad):
     with pytest.raises(DegenerateSeriesError, match="non-finite"):
         ols([1.0, 2.0, 3.0, 4.0], [1.0, bad, 3.0, 5.0])
     with pytest.raises(DegenerateSeriesError, match="non-finite"):
-        ar1([0.01, -0.02, bad, -0.01, 0.02])
+        ar1_pooled([[0.01, -0.02, bad, -0.01, 0.02]])
 
 
 @given(
@@ -83,27 +83,27 @@ def test_ols_degenerate_regressor():
 
 
 def test_ar1_constant_increment_series():
-    rep = ar1(np.arange(1.0, 11.0))
+    rep = ar1_pooled([np.arange(1.0, 11.0)])
     assert rep.phi == pytest.approx(1.0)
     assert rep.n == 9
 
 
 def test_ar1_white_noise_near_zero():
     g = np.random.default_rng(11)
-    rep = ar1(g.normal(size=10_000))
+    rep = ar1_pooled([g.normal(size=10_000)])
     assert abs(rep.phi) < 0.05
 
 
 def test_ar1_alternating_series():
     eps = 0.003
     series = np.array([eps, -eps] * 20)
-    assert ar1(series).phi == pytest.approx(-1.0)
+    assert ar1_pooled([series]).phi == pytest.approx(-1.0)
 
 
 def test_ar1_consistent_with_pearson():
     g = np.random.default_rng(3)
     r = np.cumsum(g.normal(size=400)) * 0.01
-    rep = ar1(r)
+    rep = ar1_pooled([r])
     x, y = r[:-1], r[1:]
     assert rep.phi == pytest.approx(
         pearson(x, y) * y.std(ddof=1) / x.std(ddof=1), abs=1e-9
@@ -120,14 +120,20 @@ def test_ar1_pooled_excludes_cross_run_pairs():
     assert pooled.phi == pytest.approx(slope)
     assert pooled.n == 8
     # concatenating the raw series would fabricate a (4.0, 5.0) transition
-    naive = ar1(np.concatenate([up, down]))
+    naive = ar1_pooled([np.concatenate([up, down])])
     assert naive.phi != pytest.approx(pooled.phi)
 
 
 def test_ar1_refuses_constant_and_too_short_series():
     with pytest.raises(DegenerateSeriesError, match="constant regressor"):
-        ar1(np.full(10, 0.01))
+        ar1_pooled([np.full(10, 0.01)])
     # three points give two lag pairs, too few for the slope's standard error
     with pytest.raises(DegenerateSeriesError):
-        ar1([0.01, -0.02, 0.03])
-    assert ar1([0.01, -0.02, 0.03, -0.01]).n == 3
+        ar1_pooled([[0.01, -0.02, 0.03]])
+    assert ar1_pooled([[0.01, -0.02, 0.03, -0.01]]).n == 3
+
+
+def test_ar1_pooled_refuses_one_too_short_series_among_long_ones():
+    # the ten pooled lag pairs alone would pass ols
+    with pytest.raises(DegenerateSeriesError, match="^need at least three points$"):
+        ar1_pooled([np.arange(10.0), np.array([0.01, -0.02])])

@@ -1,9 +1,10 @@
 import io
+import warnings
 
 import numpy as np
 import pytest
 
-from mgmarket import HomogeneousCoupling, UniformCoupling, sweep
+from mgmarket import EventModel, HomogeneousCoupling, UniformCoupling, sweep
 from mgmarket.sweep import (
     GRID_COLUMNS,
     SCATTER_COLUMNS,
@@ -104,7 +105,7 @@ def test_centers_requires_uniform_template(sweep_fn, axes):
 def test_events_p_zero_matches_baseline_grid():
     axes = dict(b1_values=[0.5], b2_values=[0.5])
     baseline = sweep_homogeneous(tiny(), **axes)
-    zero_p = sweep_events(tiny(), k_values=[3.0], probability=0.0, **axes)[0]
+    zero_p = sweep_events(tiny(events=EventModel(0.0, 0.0)), k_values=[3.0], **axes)[0]
     assert zero_p.rho_runs.tolist() == baseline.rho_runs.tolist()
     assert zero_p.event_strength == 3.0
 
@@ -121,17 +122,17 @@ def test_events_one_grid_per_strength(monkeypatch):
 
     pool_map = sweep.engine.pool_map
     monkeypatch.setattr(sweep.engine, "pool_map", counted)
+    base = tiny(events=EventModel(0.05, 0.0))
     for threads in (None, 2):
-        axes = dict(probability=0.05, b1_values=[0.5, -0.5], b2_values=[0.5], threads=threads,
-                    collect_samples=True)
+        axes = dict(b1_values=[0.5, -0.5], b2_values=[0.5], threads=threads, collect_samples=True)
         pool_maps.clear()
-        grids = sweep_events(tiny(), k_values=[1.0, 2.0], **axes)
+        grids = sweep_events(base, k_values=[1.0, 2.0], **axes)
         assert [g.event_strength for g in grids] == [1.0, 2.0]
         # one task list and one pool for both strengths
         assert len(pool_maps) == 1
         # and each strength's grid is the one it gets alone, bit for bit
         for grid, k in zip(grids, [1.0, 2.0]):
-            (alone,) = sweep_events(tiny(), k_values=[k], **axes)
+            (alone,) = sweep_events(base, k_values=[k], **axes)
             assert grid.rho_runs.tobytes() == alone.rho_runs.tobytes()
             assert len(sample_bytes(grid)) == 2 * 2 * 2 * 2  # cells x runs x stocks x series
             assert sample_bytes(grid) == sample_bytes(alone)
@@ -242,3 +243,10 @@ def test_grid_transpose_symmetry_statistical():
     )
     # relabeling symmetry: (b1,b2) vs (b2,b1) cells come from one distribution
     assert ks_2samp(grid.rho_runs[0, 1], grid.rho_runs[1, 0]).pvalue > 0.01
+
+
+def test_std_rho_of_one_run_is_zero_without_warning():
+    grid = SweepGrid((np.array([0.5]), np.array([0.5, -0.5])), np.array([[[0.2], [-0.1]]]), 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert grid.std_rho.tolist() == [[0.0, 0.0]]
