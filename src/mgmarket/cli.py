@@ -272,6 +272,9 @@ def _cmd_sweep(args) -> CommandOutcome:
     ignored["--event-k"] = args.event_strength
     if args.experiment == "events":
         ignored["--no-events"] = args.no_events or None
+        if config.events is not None and config.events.probability == 0.0:
+            raise ConfigError("an events sweep with shock probability 0 never shocks:"
+                              " give --event-p above 0")
     else:
         ignored.update({"--k-values": args.k_values, "--event-p": args.event_probability})
     if args.experiment == "holding":

@@ -184,9 +184,11 @@ def _items(config: ModelConfig) -> list[tuple[str, object]]:
 
 def to_text(config: ModelConfig) -> str:
     """Serialize to the flat config format (all fields, one per line)."""
-    # floats by repr, so they round-trip; allow_hold as true/false
+    # floats by repr, so they round-trip, a float subclass (np.float64) as the
+    # float it is; allow_hold as true/false
     return "".join(
-        f"{key} = {value!r}\n" if _KEYS[key] is float else f"{key} = {str(value).lower()}\n"
+        f"{key} = {float(value) if isinstance(value, float) else value!r}\n" if _KEYS[key] is float
+        else f"{key} = {str(value).lower()}\n"
         for key, value in _items(config)
     )
 

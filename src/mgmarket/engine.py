@@ -11,7 +11,10 @@ Step protocol (main loop), using only step t-1 data as inputs:
    coupling and fewer possible tables than agents, each held table is scored
    once and ``tiebreak:j`` drawn only when a tie can change the demand; the
    draws skipped are owed, and the stream advances by all it owes in one jump
-   just before the stock's next draw and at the end of the pass;
+   just before the stock's next draw and at the end of the pass.  With two
+   slots, each state's rows a tie can swing, its all-slot-0 demand and each
+   row's swing are built once per pass, so a step compares the two score
+   columns and sums the swings of the rows that take slot 1;
 4. decisions sum to the internal excess demand; an external shock is added
    when the event model is active;
 5. price and log return update from the total demand;
@@ -126,27 +129,6 @@ def simulate_trajectory(
     last_return = [0.0, 0.0]
     hist = [0, 0]
 
-    def advance(j: int, step: int, a_int: int, a_ext: float) -> float:
-        a_total = a_int + a_ext
-        try:
-            price = market.update_price(prev_price[j], a_total)
-        except NonPositivePriceError as exc:
-            raise NonPositivePriceError(exc.price, stock=j + 1, step=step) from None
-        r = market.log_return(price, prev_price[j])
-        prices[j][step] = price
-        returns[j][step] = r
-        internal[j][step] = a_int
-        total[j][step] = a_total
-        prev_price[j] = price
-        last_return[j] = r
-        hist[j] = ((hist[j] << 1) | (1 if r >= 0 else 0)) & hist_mask
-        return a_total
-
-    for w in range(warm):
-        for j in (0, 1):
-            played = components.warmup_decisions[j][w]
-            advance(j, w, market.excess_demand(played), 0.0)
-
     try:
         with np.errstate(over="raise"):  # refuse, not warn, a sum past the float range
             mean_b = [float(b.mean()) for b in components.couplings]
@@ -154,48 +136,69 @@ def simulate_trajectory(
         raise CoefficientOutOfRangeError(f"couplings summed over {n} agents overflow") from None
     stocks = []
     for j, tables, b in zip((0, 1), components.tables, components.couplings):
-        decided_at = scored_at = counts = type_of = None
-        if (b == b[0]).all():  # one public state per step: each state's (slots, rows) slice
+        views = counts = type_of = None
+        if (b == b[0]).all():  # one public state per step: per state, its (rows, slots) views
             b = float(b[0])
             tables, counts, type_of = _agent_types(tables, config.decision_set)
-            decided_at = scored_at = np.ascontiguousarray(tables.transpose(2, 1, 0))
-            if counts is not None:  # few rows: demand in int64 and score in floats, not a cast per step
-                decided_at, scored_at = decided_at.astype(np.int64), decided_at.astype(np.float64)
-        k = len(tables)  # slot-major: slot s of row i is entry i + s * k, each column contiguous
-        stocks.append((j, tables, b, decided_at, scored_at, np.zeros((s_slots, k)).T, counts, type_of,
-                       np.arange(k), components.tiebreak_rngs[j], components.event_rngs[j]))
-    owed = [0, 0]  # tie-break draws each stock skipped since its last draw
-    for t in range(horizon):
-        step = warm + t
-        lag = tuple(last_return)
-        for j, tables, b, decided_at, scored_at, scores, counts, type_of, rows, rng, events in stocks:
-            state = (b * lag[1 - j] + a_own[j] * lag[j] >= 0.0) + (hist[j] << 1)
-            if decided_at is None:  # a state per agent
-                decisions = scored = strategy.decide_all_slots(tables, state)
-            else:  # slot-major views, as decide_all_slots returns
-                decisions, scored = decided_at[state].T, scored_at[state].T
+            at = np.ascontiguousarray(tables.transpose(2, 1, 0))  # state-major, then slot-major
+            # (decisions, scored decisions, selection key, base demand, weights) per state; few
+            # rows keep int64 decisions and float64 scored ones, so a step casts nothing
             if counts is None:
-                slot = scoring.select_slots(scores, rng)
-                a_int = market.excess_demand(decisions.T.reshape(-1)[rows + slot * n])
+                views = [(d.T, d.T, None, 0, None) for d in at]
+            elif s_slots == 2:  # the rows a tie can swing, the all-slot-0 demand, each row's swing
+                views = [(d.T, f.T, d[0] != d[1], int(counts @ d[0]), counts * (d[1] - d[0]))
+                         for d, f in zip(at.astype(np.int64), at.astype(np.float64))]
             else:
-                played = scoring.select_slots(scores, decisions)
-                if played is None:
-                    # a tie changes the demand: each agent takes its top slot of most jitter
-                    rng.bit_generator.advance(owed[j])
-                    owed[j] = 0
-                    own_slot = scoring.top_slots(scores[type_of], rng.random((n, s_slots)))
-                    a_int = market.excess_demand(decisions[type_of, own_slot])
-                else:  # skip the draw, and owe its stream the advance
-                    owed[j] += n * s_slots
-                    a_int = market.excess_demand(played, counts)
-            a_ext = 0.0
-            if shock_amplitudes is not None:
-                a_ext = market.external_demand(
-                    config.events.probability, shock_amplitudes[j], events
-                )
+                views = [(d.T, f.T, d.T, 0, counts)
+                         for d, f in zip(at.astype(np.int64), at.astype(np.float64))]
+        k = len(tables)  # slot-major: slot s of row i is entry i + s * k, each column contiguous
+        stocks.append((j, tables, b, views, np.zeros((s_slots, k)).T, counts, type_of, np.arange(k),
+                       components.tiebreak_rngs[j], components.event_rngs[j],
+                       components.warmup_decisions[j]))
+    owed = [0, 0]  # tie-break draws each stock skipped since its last draw
+    for step in range(total_steps):
+        lag = tuple(last_return)
+        for j, tables, b, views, scores, counts, type_of, rows, rng, events, warmup in stocks:
+            if step < warm:  # uniformly random decisions, no scoring
+                a_int, a_ext = market.excess_demand(warmup[step]), 0.0
+            else:
+                state = (b * lag[1 - j] + a_own[j] * lag[j] >= 0.0) + (hist[j] << 1)
+                if views is None:  # a state per agent
+                    decided = scored = strategy.decide_all_slots(tables, state)
+                else:
+                    decided, scored, key, base, weights = views[state]
+                if counts is None:
+                    slot = scoring.select_slots(scores, rng)
+                    a_int = market.excess_demand(decided.T.reshape(-1)[rows + slot * n])
+                else:
+                    took = scoring.select_slots(scores, key)
+                    if took is None:
+                        # a tie changes the demand: each agent takes its top slot of most jitter
+                        rng.bit_generator.advance(owed[j])
+                        owed[j] = 0
+                        own_slot = scoring.top_slots(scores[type_of], rng.random((n, s_slots)))
+                        a_int = market.excess_demand(decided[type_of, own_slot])
+                    else:  # skip the draw, and owe its stream the advance
+                        owed[j] += n * s_slots
+                        a_int = base + market.excess_demand(took, weights)
+                a_ext = 0.0
+                if shock_amplitudes is not None:
+                    a_ext = market.external_demand(
+                        config.events.probability, shock_amplitudes[j], events
+                    )
 
-            a_total = advance(j, step, a_int, a_ext)
-            scoring.update_scores(scores, scored, a_total)
+            a_total = a_int + a_ext
+            try:
+                price = market.update_price(prev_price[j], a_total)
+            except NonPositivePriceError as exc:
+                raise NonPositivePriceError(exc.price, stock=j + 1, step=step) from None
+            r = market.log_return(price, prev_price[j])
+            prices[j][step], returns[j][step] = price, r
+            internal[j][step], total[j][step] = a_int, a_total
+            prev_price[j], last_return[j] = price, r
+            hist[j] = ((hist[j] << 1) | (r >= 0)) & hist_mask
+            if step >= warm:
+                scoring.update_scores(scores, scored, a_total)
     for rng, skipped in zip(components.tiebreak_rngs, owed):
         rng.bit_generator.advance(skipped)
 

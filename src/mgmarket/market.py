@@ -22,7 +22,7 @@ from .errors import NonPositivePriceError
 
 def excess_demand(decisions, counts=None) -> int:
     """Exact integer sum of one stock's decisions, each by ``counts`` agents if given."""
-    return int(np.asarray(decisions).sum() if counts is None else counts @ decisions)
+    return int(np.asarray(decisions).sum() if counts is None else counts.dot(decisions))
 
 
 def external_demand(probability: float, amplitude: float, rng: np.random.Generator) -> float:

@@ -10,7 +10,9 @@ step the agent plays its highest-scoring slot, ties broken uniformly at
 random.  Agents of one type (same tables and coupling) keep bit-identical
 scores; when no type's tied top slots decide differently, no draw can change
 the demand, so the no-draw selection returns the decisions the types play,
-and PCG64's ``advance`` leaves the stream where the draw would.
+and PCG64's ``advance`` leaves the stream where the draw would.  With two
+slots it needs only the rows whose slots decide differently: when none of
+them ties, each row plays slot 1 exactly where it scores higher.
 
 The linear payoff keeps the crowd's adaptation gradual: score gaps scale with
 the imbalances a strategy traded through, so strategy rankings spread out
@@ -40,12 +42,18 @@ def select_slots(scores: np.ndarray, tiebreak) -> np.ndarray | None:
     With the tie-break generator, one jitter value per (row, slot) is drawn
     every call, a fixed function of the shape, and ranks the tied top slots;
     with the rows' decisions, nothing is drawn, and each row's played decision
-    or ``None`` is returned (``clash`` below).  One entry point, so each
-    stock-step makes one call (perfbench's probes count them).
+    or ``None`` is returned (``clash`` below).  With two slots, the mask of
+    the rows whose slots decide differently stands for the decisions: nothing
+    is drawn, and the result is ``None`` when such a row ties, else whether
+    each row plays slot 1.  One entry point, so each stock-step makes one call
+    (perfbench's probes count them).
     """
     if isinstance(tiebreak, np.random.Generator):
         return top_slots(scores, tiebreak.random(scores.shape))
-    return top_slots(scores, tiebreak, clash=True)
+    if tiebreak.ndim == 2:
+        return top_slots(scores, tiebreak, clash=True)
+    first, second = scores[:, 0], scores[:, 1]
+    return None if tiebreak.dot(second == first) else second > first
 
 
 def top_slots(scores: np.ndarray, keys: np.ndarray, clash: bool = False) -> np.ndarray | None:

@@ -25,6 +25,8 @@ def read_rows(path):
 SMALL = ["--n-agents", "31", "--horizon", "50", "--runs", "2", "--seed", "7", "--threads", "1"]
 NEVER_SHOCKS = ("config.validate: an event model with probability or strength 0 never shocks:"
                 " give --event-p and --event-k above 0, or --no-events")
+SWEEP_NEVER_SHOCKS = ("config.validate: an events sweep with shock probability 0 never shocks:"
+                      " give --event-p above 0")
 
 
 def test_simulate_happy_path(tmp_path):
@@ -176,11 +178,13 @@ def test_runtime_error_exit_code():
         # an event model that never shocks would run the unshocked batch twice
         *[(["simulate", *flags], NEVER_SHOCKS) for flags in
           (["--event-p", "0.05"], ["--event-k", "0"], ["--event-p", "0", "--event-k", "3"])],
+        # and an events sweep would write the unshocked grid once per strength
+        (["sweep", "--experiment", "events", "--event-p", "0"], SWEEP_NEVER_SHOCKS),
     ],
     ids=["initial-price-inf", "initial-price-nan", "b1-nan", "b1-inf", "event-k-nan", "delta1-inf",
          "b1-step-nan", "b1-max-inf", "k-values-nan", "threads-0", "threads-negative",
          "uniform-width-overflow", "uniform-bound-overflow", "b1-axis-empty", "b1-step-tiny",
-         "k-values-negative", "event-p-alone", "event-k-zero", "event-p-zero"],
+         "k-values-negative", "event-p-alone", "event-k-zero", "event-p-zero", "sweep-event-p-zero"],
 )
 def test_non_finite_or_nonpositive_flag_is_usage_error(monkeypatch, argv, message):
     def no_run(*_args):
@@ -361,6 +365,18 @@ def test_events_sweep_from_strength_only_file_shocks_at_the_paper_probability(tm
         grids[name] = out.read_bytes()
     assert grids["k"] == grids["pk"]
     assert grids["k"] != grids["plain"]
+
+
+def test_events_sweep_from_file_with_zero_probability_is_usage_error(monkeypatch, tmp_path):
+    def no_run(*_args):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(engine, "run", no_run)
+    cfg = tmp_path / "p0.cfg"
+    cfg.write_text("event_probability = 0\n")
+    outcome = run_cli("sweep", "--experiment", "events", "--config", str(cfg), *POINT, *SMALL)
+    assert outcome.exit_code == 1
+    assert outcome.message == SWEEP_NEVER_SHOCKS
 
 
 @pytest.mark.parametrize(

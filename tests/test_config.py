@@ -81,8 +81,10 @@ def test_unsupported_coupling_spec_rejected():
 @pytest.mark.parametrize(
     "field,value,shown",
     [("allow_hold", "no", "allow_hold = 'no'"), ("n_agents", 11.0, "n_agents = 11.0"),
-     ("master_seed", 1.5, "master_seed = 1.5"), ("n_agents", True, "n_agents = True")],
-    ids=["allow-hold-word", "float-agents", "float-seed", "bool-agents"],
+     ("master_seed", 1.5, "master_seed = 1.5"), ("n_agents", True, "n_agents = True"),
+     # not a float subclass, and under NEP 50 it would compute in float32
+     ("initial_price", np.float32(2000.0), "initial_price = np.float32(2000.0)")],
+    ids=["allow-hold-word", "float-agents", "float-seed", "bool-agents", "np-float32-price"],
 )
 def test_config_whose_text_does_not_read_back_rejected(field, value, shown):
     cfg = ModelConfig(**{field: value})
@@ -91,12 +93,25 @@ def test_config_whose_text_does_not_read_back_rejected(field, value, shown):
 
 
 @pytest.mark.parametrize(
-    "field,value", [("n_agents", np.int64(11)), ("initial_price", 2000)], ids=["np-int64", "int"]
+    "field,value,line",
+    [("n_agents", np.int64(11), "n_agents = 11"), ("initial_price", 2000, "initial_price = 2000"),
+     ("initial_price", np.float64(2000.0), "initial_price = 2000.0")],
+    ids=["np-int64", "int", "np-float64"],
 )
-def test_config_whose_text_reads_back_accepted(field, value):
+def test_config_whose_text_reads_back_accepted(field, value, line):
     cfg = ModelConfig(**{field: value})
     assert validate(cfg) is cfg
+    assert line in to_text(cfg).splitlines()
     assert from_text(to_text(cfg)) == cfg
+
+
+def test_numpy_float64_coupling_has_the_text_and_digest_of_its_float():
+    # a b1 taken straight from np.linspace, say
+    cfg = ModelConfig(coupling=HomogeneousCoupling(np.float64(0.5), 0.5))
+    plain = ModelConfig(coupling=HomogeneousCoupling(0.5, 0.5))
+    assert validate(cfg) is cfg
+    assert to_text(cfg) == to_text(plain)
+    assert config_digest(cfg) == config_digest(plain)
 
 
 @pytest.mark.parametrize(

@@ -14,7 +14,7 @@ from mgmarket import (
     run,
     run_many,
 )
-from mgmarket import engine, seeding
+from mgmarket import engine, market, scoring, seeding
 from mgmarket.engine import build_components, simulate_trajectory
 from mgmarket.market import StockSeries
 
@@ -258,6 +258,36 @@ def test_tiebreak_streams_end_where_per_agent_draws_leave_them(overrides, shared
         for _ in range(cfg.horizon):
             fresh.random((cfg.n_agents, cfg.n_strategies))
         assert rng.bit_generator.state == fresh.bit_generator.state
+
+
+@pytest.mark.parametrize(
+    "overrides,shared,passes",
+    [(dict(), True, 1), (dict(n_strategies=1), True, 1),
+     (dict(coupling=UniformCoupling(0.0, 1.0, 0.2, 0.5)), False, 1),
+     (dict(events=EventModel(0.1, 2.0)), True, 2)],
+    ids=["s2-types", "s1-types", "uniform-agents", "events-calibrated"],
+)
+def test_each_stock_step_selects_once_and_prices_once(monkeypatch, overrides, shared, passes):
+    # perfbench's self-check pins these counts, taken through the module
+    # attributes as its tracer takes them; an events run adds its calibration pass
+    calls = {}
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(scoring, "select_slots")
+    count(market, "update_price")
+    cfg = small_config(n_agents=301, **overrides)
+    assert _shared_types(cfg, build_components(cfg, 0)) == [shared, shared]
+    run(cfg, 0)
+    assert calls == {"select_slots": 2 * cfg.horizon * passes,
+                     "update_price": 2 * (cfg.warmup_steps + cfg.horizon) * passes}
 
 
 def test_oracle_meets_zero_returns_and_expectations():

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from mgmarket.market import excess_demand
 from mgmarket.scoring import select_slots, top_slots, update_scores
 
 from reference_engine import select_slots_argmax
@@ -205,3 +206,31 @@ def test_select_slots_without_draw_examples():
     assert select_slots(scores, decisions) is None
     assert select_slots(scores[[0, 2]], decisions[[0, 2]]).tolist() == [-1, 1]
     assert select_slots(np.array([[4.0], [-1.0]]), np.array([[1], [-1]])).tolist() == [1, -1]
+
+
+@given(data=st.data(), rows=st.integers(1, 64), values=st.sampled_from(((-1, 1), (-1, 0, 1))),
+       integer_scores=st.booleans())
+def test_two_slot_selection_matches_the_general_tournament(data, rows, values, integer_scores):
+    # the engine's per-state tables at S=2: the rows whose slots decide
+    # differently, the all-slot-0 demand and each row's swing to slot 1
+    decisions = data.draw(hnp.arrays(np.int64, (rows, 2), elements=st.sampled_from(values)))
+    counts = data.draw(hnp.arrays(np.int64, rows, elements=st.integers(1, 1001)))
+    if integer_scores:  # a tiny alphabet, so ties are the common case
+        scores = data.draw(hnp.arrays(np.float64, (rows, 2), elements=st.integers(-2, 2).map(float)))
+    else:  # accumulated from integer demands plus or minus a shock amplitude
+        amplitude = data.draw(st.floats(0.1, 50.0))
+        scores = np.zeros((rows, 2))
+        for demand in data.draw(st.lists(st.integers(-9, 9), max_size=6)):
+            shock = data.draw(st.sampled_from((-1, 0, 1))) * amplitude
+            played = data.draw(hnp.arrays(np.int8, (rows, 2), elements=st.sampled_from(values)))
+            update_scores(scores, played, demand + shock)
+    scores = np.ascontiguousarray(scores.T).T  # slot-major, as the engine keeps them
+    mask = decisions[:, 0] != decisions[:, 1]
+    base, weights = int(counts @ decisions[:, 0]), counts * (decisions[:, 1] - decisions[:, 0])
+    take = select_slots(scores, mask)
+    played = top_slots(scores, decisions, clash=True)
+    assert (take is None) == (played is None)
+    if played is not None:
+        assert take.dtype == bool
+        assert base + weights @ take == counts @ played
+        assert base + excess_demand(take, weights) == excess_demand(played, counts)
