@@ -390,6 +390,8 @@ def _cmd_verify_appendix(args) -> CommandOutcome:
     def fmt(flag) -> str:
         return "-" if flag is None else ("ok" if flag else "FAIL")
 
+    if not 0 <= args.master_seed < 1 << 64:  # as config.validate bounds master_seed
+        raise ConfigError(f"--seed must lie in [0, 2^64), got {args.master_seed}")
     header = ["regime", "input", "output", "feasibility", "condition", "trend"]
     with _open_outputs(args.out) as (out,):
         report = analytic.verify_appendix(n_samples=args.samples, master_seed=args.master_seed)

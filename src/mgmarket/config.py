@@ -136,6 +136,8 @@ def validate(config: ModelConfig) -> ModelConfig:
             read_back = False
         if not read_back:
             raise ConfigError(f"{key} = {value!r} does not read back from its config text")
+    if not 0 <= config.master_seed < 1 << 64:  # one 64-bit word, as every seed fold_seed derives
+        raise ConfigError(f"master_seed must lie in [0, 2^64), got {config.master_seed}")
     if isinstance(config.coupling, UniformCoupling):
         for j, c, d in ((1, config.coupling.c1, config.coupling.delta1),
                         (2, config.coupling.c2, config.coupling.delta2)):

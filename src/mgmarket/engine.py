@@ -8,13 +8,13 @@ Step protocol (main loop), using only step t-1 data as inputs:
    when the agents share one coupling, they share one expectation, and the
    state is one integer whose (slots, rows) table slice is read, not gathered;
 3. each agent plays its highest-scoring strategy slot (ties uniform); with one
-   coupling and fewer possible tables than agents, each held table is scored
-   once and ``tiebreak:j`` drawn only when a tie can change the demand; the
-   draws skipped are owed, and the stream advances by all it owes in one jump
-   just before the stock's next draw and at the end of the pass.  With two
-   slots, each state's rows a tie can swing, its all-slot-0 demand and each
-   row's swing are built once per pass, so a step compares the two score
-   columns and sums the swings of the rows that take slot 1;
+   coupling, at most two slots and fewer possible tables than agents, each
+   held table is scored once and ``tiebreak:j`` drawn only when a tie can
+   change the demand; the draws skipped are owed, and the stream advances by
+   all it owes in one jump just before the stock's next draw and at the end
+   of the pass.  Each state's rows a tie can swing, its all-first-slot demand
+   and each row's swing are built once per pass, so a step compares the first
+   and last score columns and sums the swings of the rows that take the last;
 4. decisions sum to the internal excess demand; an external shock is added
    when the event model is active;
 5. price and log return update from the total demand;
@@ -91,12 +91,12 @@ def build_components(config: ModelConfig, run_index: int) -> RunComponents:
 
 
 def _agent_types(tables: np.ndarray, values) -> tuple:
-    """With fewer possible tables over ``values`` than agents, the distinct
-    (slots, rows) tables the agents hold, each one's agent count (at least 1)
-    and each agent's row.  Else the agents."""
+    """With at most two slots and fewer possible tables over ``values`` than
+    agents, the distinct (slots, rows) tables the agents hold, each one's agent
+    count (at least 1) and each agent's row.  Else the agents."""
     n, s, rows = tables.shape
     # |values| >= 2, so the bit length decides first, before the power grows huge
-    if s * rows >= n.bit_length() or len(values) ** (s * rows) >= n:
+    if s > 2 or s * rows >= n.bit_length() or len(values) ** (s * rows) >= n:
         return tables, None, None
     # one byte string per agent: unique(axis=0) compares field by field, ~15x slower
     keys = np.ascontiguousarray(tables).reshape(n, -1).view(f"V{tables[0].nbytes}")[:, 0]
@@ -141,15 +141,12 @@ def simulate_trajectory(
             b = float(b[0])
             tables, counts, type_of = _agent_types(tables, config.decision_set)
             at = np.ascontiguousarray(tables.transpose(2, 1, 0))  # state-major, then slot-major
-            # (decisions, scored decisions, selection key, base demand, weights) per state; few
+            # (decisions, scored decisions, selection mask, base demand, weights) per state; few
             # rows keep int64 decisions and float64 scored ones, so a step casts nothing
             if counts is None:
                 views = [(d.T, d.T, None, 0, None) for d in at]
-            elif s_slots == 2:  # the rows a tie can swing, the all-slot-0 demand, each row's swing
-                views = [(d.T, f.T, d[0] != d[1], int(counts @ d[0]), counts * (d[1] - d[0]))
-                         for d, f in zip(at.astype(np.int64), at.astype(np.float64))]
-            else:
-                views = [(d.T, f.T, d.T, 0, counts)
+            else:  # the rows a tie can swing, the all-first-slot demand, each row's swing
+                views = [(d.T, f.T, d[0] != d[-1], int(counts @ d[0]), counts * (d[-1] - d[0]))
                          for d, f in zip(at.astype(np.int64), at.astype(np.float64))]
         k = len(tables)  # slot-major: slot s of row i is entry i + s * k, each column contiguous
         stocks.append((j, tables, b, views, np.zeros((s_slots, k)).T, counts, type_of, np.arange(k),
@@ -166,12 +163,12 @@ def simulate_trajectory(
                 if views is None:  # a state per agent
                     decided = scored = strategy.decide_all_slots(tables, state)
                 else:
-                    decided, scored, key, base, weights = views[state]
+                    decided, scored, mask, base, weights = views[state]
                 if counts is None:
                     slot = scoring.select_slots(scores, rng)
                     a_int = market.excess_demand(decided.T.reshape(-1)[rows + slot * n])
                 else:
-                    took = scoring.select_slots(scores, key)
+                    took = scoring.select_slots(scores, mask)
                     if took is None:
                         # a tie changes the demand: each agent takes its top slot of most jitter
                         rng.bit_generator.advance(owed[j])

@@ -8,11 +8,10 @@ side of the excess demand gains in proportion to the imbalance it traded
 against, the majority side loses the same amount, holds score zero.  Each
 step the agent plays its highest-scoring slot, ties broken uniformly at
 random.  Agents of one type (same tables and coupling) keep bit-identical
-scores; when no type's tied top slots decide differently, no draw can change
-the demand, so the no-draw selection returns the decisions the types play,
-and PCG64's ``advance`` leaves the stream where the draw would.  With two
-slots it needs only the rows whose slots decide differently: when none of
-them ties, each row plays slot 1 exactly where it scores higher.
+scores, and the engine forms types only at one or two slots, a row's first
+and last.  When no row whose two slots decide differently ties, no draw can
+change the demand: each row plays its last slot exactly where it scores
+higher, and PCG64's ``advance`` leaves the stream where the draw would.
 
 The linear payoff keeps the crowd's adaptation gradual: score gaps scale with
 the imbalances a strategy traded through, so strategy rankings spread out
@@ -40,28 +39,21 @@ def select_slots(scores: np.ndarray, tiebreak) -> np.ndarray | None:
     """Per-row (agent or agent type) index of a maximal score, ties uniform.
 
     With the tie-break generator, one jitter value per (row, slot) is drawn
-    every call, a fixed function of the shape, and ranks the tied top slots;
-    with the rows' decisions, nothing is drawn, and each row's played decision
-    or ``None`` is returned (``clash`` below).  With two slots, the mask of
-    the rows whose slots decide differently stands for the decisions: nothing
-    is drawn, and the result is ``None`` when such a row ties, else whether
-    each row plays slot 1.  One entry point, so each stock-step makes one call
-    (perfbench's probes count them).
+    every call, a fixed function of the shape, and ranks the tied top slots.
+    Else ``tiebreak`` is the mask of the type rows whose first and last slots
+    decide differently, and nothing is drawn: the result is ``None`` when such
+    a row ties, else whether each row plays its last slot.  One entry point,
+    so each stock-step makes one call (perfbench's probes count them).
     """
     if isinstance(tiebreak, np.random.Generator):
         return top_slots(scores, tiebreak.random(scores.shape))
-    if tiebreak.ndim == 2:
-        return top_slots(scores, tiebreak, clash=True)
-    first, second = scores[:, 0], scores[:, 1]
+    first, second = scores[:, 0], scores[:, -1]
     return None if tiebreak.dot(second == first) else second > first
 
 
-def top_slots(scores: np.ndarray, keys: np.ndarray, clash: bool = False) -> np.ndarray | None:
+def top_slots(scores: np.ndarray, keys: np.ndarray) -> np.ndarray:
     """Per-row index of a maximal score: of the top slots, the one of greatest
-    ``keys``, the first on equal keys (argmax's rule, bit for bit).  With
-    ``clash``, ``keys`` are decisions, and the result is each row's played
-    decision, its first top slot's; or ``None`` when, in some row, another top
-    slot decides differently.
+    ``keys``, the first on equal keys (argmax's rule, bit for bit).
 
     A tournament over the slot columns, contiguous for the transpose of a
     slot-major array: elementwise work beats reductions over a few slots.
@@ -69,23 +61,17 @@ def top_slots(scores: np.ndarray, keys: np.ndarray, clash: bool = False) -> np.n
     n_slots = scores.shape[1]
     columns, keys = scores.T, keys.T
     if n_slots == 1:
-        return keys[0] if clash else np.zeros(len(scores), dtype=np.intp)
+        return np.zeros(len(scores), dtype=np.intp)
     best, best_key = columns[0], keys[0]
     for k in range(1, n_slots):
         column, key = columns[k], keys[k]
         take = column > best
-        if clash:  # unsettled: a column ties the winner with another decision, none beats both later
-            tie = (column == best) & (key != best_key)
-            unsettled = tie if k == 1 else (unsettled & ~take) | tie
+        take |= (column == best) & (key > best_key)
+        if k == 1:
+            slot = take.astype(np.intp)
         else:
-            take |= (column == best) & (key > best_key)
-            if k == 1:
-                slot = take.astype(np.intp)
-            else:
-                np.putmask(slot, take, k)
+            np.putmask(slot, take, k)
         if k + 1 < n_slots:
             best = np.where(take, column, best)
             best_key = np.where(take, key, best_key)
-    if clash:
-        return None if np.count_nonzero(unsettled) else np.where(take, key, best_key)
     return slot

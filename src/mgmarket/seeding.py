@@ -14,8 +14,6 @@ from typing import Iterable
 
 import numpy as np
 
-_MASK64 = (1 << 64) - 1
-
 # Stream purposes used by the simulation engine.
 STRATEGIES = "strategies"
 COUPLINGS = "couplings"
@@ -42,7 +40,7 @@ def derive_seed(master_seed: int, run_index: int, stream_label: str) -> int:
     """
     if run_index < 0:
         raise ValueError("run_index must be non-negative")
-    entropy = (master_seed & _MASK64, run_index, *_label_words(stream_label))
+    entropy = (master_seed, run_index, *_label_words(stream_label))
     return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
 
 
@@ -62,5 +60,5 @@ def fold_seed(master_seed: int, tag: str, values: Iterable[float]) -> int:
     parameter values, never on execution order, so permuting or re-slicing a
     grid leaves every cell's result bit-identical.
     """
-    entropy = (master_seed & _MASK64, *_label_words(tag), *(_float_bits(v) for v in values))
+    entropy = (master_seed, *_label_words(tag), *(_float_bits(v) for v in values))
     return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])

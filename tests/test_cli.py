@@ -196,6 +196,21 @@ def test_non_finite_or_nonpositive_flag_is_usage_error(monkeypatch, argv, messag
     assert outcome.message.startswith(message)
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+@pytest.mark.parametrize("verb", ["simulate", "sweep", "verify-appendix"])
+def test_seed_outside_64_bits_is_usage_error(monkeypatch, verb, seed):
+    # one 64-bit word, refused before any run or sample
+    def no_run(*_args, **_kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(engine, "run", no_run)
+    monkeypatch.setattr(analytic, "verify_appendix", no_run)
+    flags = {"simulate": SMALL, "sweep": ["--experiment", "homogeneous", *SMALL]}.get(verb, [])
+    outcome = run_cli(verb, *flags, "--seed", seed)
+    assert outcome.exit_code == 1
+    assert outcome.message.endswith(f"must lie in [0, 2^64), got {seed}")
+
+
 @pytest.mark.parametrize(
     "argv,message",
     [

@@ -95,14 +95,21 @@ def test_config_whose_text_does_not_read_back_rejected(field, value, shown):
 @pytest.mark.parametrize(
     "field,value,line",
     [("n_agents", np.int64(11), "n_agents = 11"), ("initial_price", 2000, "initial_price = 2000"),
-     ("initial_price", np.float64(2000.0), "initial_price = 2000.0")],
-    ids=["np-int64", "int", "np-float64"],
+     ("initial_price", np.float64(2000.0), "initial_price = 2000.0"),
+     ("master_seed", 2**64 - 1, "master_seed = 18446744073709551615")],
+    ids=["np-int64", "int", "np-float64", "largest-seed"],
 )
 def test_config_whose_text_reads_back_accepted(field, value, line):
     cfg = ModelConfig(**{field: value})
     assert validate(cfg) is cfg
     assert line in to_text(cfg).splitlines()
     assert from_text(to_text(cfg)) == cfg
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64], ids=["negative", "two-to-the-64"])
+def test_master_seed_outside_64_bits_rejected(seed):
+    with pytest.raises(ConfigError, match=rf"^master_seed must lie in \[0, 2\^64\), got {seed}$"):
+        validate(ModelConfig(master_seed=seed))
 
 
 def test_numpy_float64_coupling_has_the_text_and_digest_of_its_float():

@@ -162,9 +162,11 @@ def test_engine_matches_two_stock_reference(memory, b1, b2):
         dict(n_agents=301, allow_hold=True, coupling=HomogeneousCoupling(0.4, -0.6)),
         # a zero half-range draws one coupling
         dict(coupling=UniformCoupling(0.3, 0.0, -0.2, 0.0)),
+        # one coupling and more agents than the 2^12 possible (m=1, S=3) tables
+        dict(n_agents=4097, horizon=30, n_strategies=3),
     ],
     ids=["uniform_events_m3_s4", "uniform_hold_m2_s3", "hold_events_s1", "abort", "abort_events",
-         "hold_one_coupling_n301", "uniform_zero_range"],
+         "hold_one_coupling_n301", "uniform_zero_range", "s3_more_agents_than_tables"],
 )
 def test_engine_matches_oracle_across_axes(overrides):
     _assert_engine_matches_oracle(small_config(**{"n_agents": 21, "horizon": 40, **overrides}), 1)
@@ -202,11 +204,21 @@ def test_agent_types_are_the_tables_agents_hold():
 
 
 def test_agent_types_of_huge_tables_are_the_agents_at_once():
-    # 3^(64 * 2^21) possible tables against one agent: decided by bit length,
+    # 3^(2 * 2^21) possible tables against one agent: decided by bit length,
     # without building that power
-    tables = np.broadcast_to(np.int8(0), (1, 64, 2**21))
+    tables = np.broadcast_to(np.int8(0), (1, 2, 2**21))
     rows, counts, type_of = engine._agent_types(tables, (-1, 0, 1))
     assert rows is tables and counts is None and type_of is None
+
+
+def test_agent_types_beyond_two_slots_are_the_agents():
+    # 4097 binary agents hold some of the 2^12 possible (m=1, S=3) tables twice,
+    # but only one or two slots form types
+    cfg = small_config(n_agents=4097, n_strategies=3)
+    for tables in build_components(cfg, 0).tables:
+        rows, counts, type_of = engine._agent_types(tables, cfg.decision_set)
+        assert len({table.tobytes() for table in tables}) < cfg.n_agents
+        assert rows is tables and counts is None and type_of is None
 
 
 @pytest.mark.parametrize(

@@ -163,74 +163,37 @@ def _no_draw_choice(scores, decisions):
     return out
 
 
-def _row_by_row(scores, decisions):
-    """``select_slots`` without a draw on each single-row slice: the row's
-    played decision, or None."""
-    out = []
-    for i in range(len(scores)):
-        played = select_slots(scores[i : i + 1], decisions[i : i + 1])
-        assert played is None or (played.shape == (1,) and played.dtype == decisions.dtype)
-        out.append(None if played is None else played.item())
-    return out
-
-
-@given(data=st.data(), shape=SHAPES, seed=st.integers(0, 2**32 - 1), transposed=st.booleans())
-def test_select_slots_without_draw_settles_rows_no_draw_can_change(data, shape, seed, transposed):
-    scores = data.draw(hnp.arrays(np.float64, shape, elements=st.integers(-2, 2).map(float)))
-    decisions = data.draw(hnp.arrays(np.int8, shape, elements=st.sampled_from((-1, 0, 1))))
-    if transposed:  # slot-major, as the engine keeps both
-        scores, decisions = (np.ascontiguousarray(x.T).T for x in (scores, decisions))
-    choice = _no_draw_choice(scores, decisions)
-    rows = _row_by_row(scores, decisions)
-    # a row is unsettled exactly where a tied top slot decides differently,
-    # else it plays its first top slot's decision
-    assert rows == [None if k < 0 else decisions[i, k].item() for i, k in enumerate(choice)]
-    # the whole array is refused exactly when some row is
-    played = select_slots(scores, decisions)
-    if None in rows:
-        assert played is None
-    else:
-        assert played.dtype == decisions.dtype
-        assert played.tolist() == rows
-    # a settled row plays what the jitter draw would have made it play
-    drawn = select_slots(scores, np.random.default_rng(seed))
-    for i, decision in enumerate(rows):
-        if decision is not None:
-            assert decisions[i, drawn[i]] == decision
-
-
-def test_select_slots_without_draw_examples():
-    scores = np.array([[1.0, 3.0, 3.0], [3.0, 3.0, 1.0], [3.0, 3.0, 5.0], [2.0, 2.0, 2.0]])
-    decisions = np.array([[1, -1, -1], [1, -1, 1], [1, -1, 1], [0, 0, 1]], dtype=np.int8)
-    assert _row_by_row(scores, decisions) == [-1, None, 1, None]
-    assert select_slots(scores, decisions) is None
-    assert select_slots(scores[[0, 2]], decisions[[0, 2]]).tolist() == [-1, 1]
-    assert select_slots(np.array([[4.0], [-1.0]]), np.array([[1], [-1]])).tolist() == [1, -1]
-
-
-@given(data=st.data(), rows=st.integers(1, 64), values=st.sampled_from(((-1, 1), (-1, 0, 1))),
-       integer_scores=st.booleans())
-def test_two_slot_selection_matches_the_general_tournament(data, rows, values, integer_scores):
-    # the engine's per-state tables at S=2: the rows whose slots decide
-    # differently, the all-slot-0 demand and each row's swing to slot 1
-    decisions = data.draw(hnp.arrays(np.int64, (rows, 2), elements=st.sampled_from(values)))
+@given(data=st.data(), rows=st.integers(1, 64), n_slots=st.integers(1, 2),
+       values=st.sampled_from(((-1, 1), (-1, 0, 1))), integer_scores=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_two_slot_selection_matches_the_general_tournament(data, rows, n_slots, values,
+                                                          integer_scores, seed):
+    # the engine's per-state tables for type rows at one or two slots: the rows
+    # whose first and last slots decide differently, the all-first-slot demand
+    # and each row's swing to the last slot
+    shape = (rows, n_slots)
+    decisions = data.draw(hnp.arrays(np.int64, shape, elements=st.sampled_from(values)))
     counts = data.draw(hnp.arrays(np.int64, rows, elements=st.integers(1, 1001)))
     if integer_scores:  # a tiny alphabet, so ties are the common case
-        scores = data.draw(hnp.arrays(np.float64, (rows, 2), elements=st.integers(-2, 2).map(float)))
+        scores = data.draw(hnp.arrays(np.float64, shape, elements=st.integers(-2, 2).map(float)))
     else:  # accumulated from integer demands plus or minus a shock amplitude
         amplitude = data.draw(st.floats(0.1, 50.0))
-        scores = np.zeros((rows, 2))
+        scores = np.zeros(shape)
         for demand in data.draw(st.lists(st.integers(-9, 9), max_size=6)):
             shock = data.draw(st.sampled_from((-1, 0, 1))) * amplitude
-            played = data.draw(hnp.arrays(np.int8, (rows, 2), elements=st.sampled_from(values)))
+            played = data.draw(hnp.arrays(np.int8, shape, elements=st.sampled_from(values)))
             update_scores(scores, played, demand + shock)
     scores = np.ascontiguousarray(scores.T).T  # slot-major, as the engine keeps them
-    mask = decisions[:, 0] != decisions[:, 1]
-    base, weights = int(counts @ decisions[:, 0]), counts * (decisions[:, 1] - decisions[:, 0])
+    mask = decisions[:, 0] != decisions[:, -1]
+    base, weights = int(counts @ decisions[:, 0]), counts * (decisions[:, -1] - decisions[:, 0])
     take = select_slots(scores, mask)
-    played = top_slots(scores, decisions, clash=True)
-    assert (take is None) == (played is None)
-    if played is not None:
+    choice = _no_draw_choice(scores, decisions)
+    # refused exactly when a tied top slot decides differently from another
+    assert (take is None) == (-1 in choice)
+    if take is not None:
         assert take.dtype == bool
-        assert base + weights @ take == counts @ played
-        assert base + excess_demand(take, weights) == excess_demand(played, counts)
+        assert base + weights @ take == counts @ decisions[np.arange(rows), choice]
+        # and a settled selection plays the demand any jitter draw would
+        drawn = top_slots(scores, np.random.default_rng(seed).random(shape))
+        assert base + excess_demand(take, weights) == excess_demand(
+            decisions[np.arange(rows), drawn], counts)
