@@ -1,12 +1,11 @@
 """Command-line interface: ``simulate``, ``sweep``, ``regress``,
 ``verify-appendix`` and ``ar1`` verbs.
 
-Parameters come from an optional flat config file (``--config`` or the
-``MGMARKET_CONFIG`` environment variable) with command-line flags winning
-over file values.  All outputs are written atomically (temp file + rename) so
-aborted long sweeps never leave partial files behind.  Every verb creates its
-outputs before its work, so an output that cannot be written, or two outputs
-that name one file, end the verb at once.
+Parameters come from an optional flat config file, named by ``--config`` alone,
+with command-line flags winning over file values.  All outputs are written
+atomically (temp file + rename) so aborted long sweeps never leave partial
+files behind.  Every verb creates its outputs before its work, so an output
+that cannot be written, or two outputs that name one file, end the verb at once.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 runtime error,
 3 verification failure.
@@ -33,6 +32,7 @@ from . import analytic, engine, market, stats, sweep
 from .config import (
     _HOMOGENEOUS_KEYS,
     _KEYS,
+    _MEMORY_BUDGET_BYTES,
     _UNIFORM_KEYS,
     DEFAULT_UNIFORM,
     ModelConfig,
@@ -44,7 +44,6 @@ from .config import (
 )
 from .errors import ConfigError, DegenerateSeriesError, NonPositivePriceError
 
-CONFIG_ENV_VAR = "MGMARKET_CONFIG"
 _OVERRIDE_KEYS = _KEYS.keys() - {"coupling"}
 
 
@@ -150,9 +149,8 @@ def _add_model_flags(parser: argparse.ArgumentParser) -> None:
 def _resolve_config(args) -> tuple[ModelConfig, dict]:
     """File values overlaid with explicit flags; returns config + overrides."""
     items: dict[str, object] = {}
-    path = args.config or os.environ.get(CONFIG_ENV_VAR)
-    if path:
-        with open(path, encoding="utf-8") as fh:
+    if args.config:
+        with open(args.config, encoding="utf-8") as fh:
             items = parse_items(fh.read())
 
     # in flag order, which is the key order of the summary's overrides
@@ -256,18 +254,13 @@ def _cmd_sweep(args) -> CommandOutcome:
     # events and holding re-run the homogeneous plane
     plane = args.experiment if args.experiment in sweep.EXPERIMENTS else "homogeneous"
     fields, default = sweep.EXPERIMENTS[plane]
-    unswept = [
-        f"--{axis}-{part}"
-        for axis in _SWEEP_AXES
-        for part in _AXIS_PARTS
-        if axis not in fields and getattr(args, f"{axis}_{part}") is not None
-    ]
-    if unswept:
-        raise ConfigError(f"--experiment {args.experiment} does not sweep {', '.join(unswept)}")
-    # a uniform plane reads the coupling fields it does not sweep from the
+    # a uniform plane reads the coupling fields outside its axes from the
     # template; the sweep overwrites every other coupling flag
     reads = set() if plane == "homogeneous" else _UNIFORM_KEYS.difference(fields)
     ignored = {f"--{key}": getattr(args, key) for key in _SWEEP_AXES if key not in reads}
+    # and only the plane's own axes take axis flags
+    ignored.update({f"--{key}-{part}": getattr(args, f"{key}_{part}")
+                    for key in _SWEEP_AXES if key not in fields for part in _AXIS_PARTS})
     # an events sweep takes its strengths from --k-values; other sweeps run unshocked
     ignored["--event-k"] = args.event_strength
     if args.experiment == "events":
@@ -298,11 +291,7 @@ def _cmd_sweep(args) -> CommandOutcome:
         for k in strengths for path in (args.out, args.scatter_out)
     ]
     with _open_outputs(*paths) as files:
-        if args.experiment == "events":
-            grids = sweep.sweep_events(config, strengths, *axes, threads=args.threads,
-                                       collect_samples=collect)
-        else:
-            grids = sweep._sweep(config, plane, axes, args.threads, collect)
+        grids = sweep._sweep(config, plane, axes, args.threads, collect, strengths)
         for grid, out, scatter_out in zip(grids, files[::2], files[1::2]):
             if out:
                 sweep.write_grid(grid, out)
@@ -392,6 +381,9 @@ def _cmd_verify_appendix(args) -> CommandOutcome:
 
     if not 0 <= args.master_seed < 1 << 64:  # as config.validate bounds master_seed
         raise ConfigError(f"--seed must lie in [0, 2^64), got {args.master_seed}")
+    if 16 * args.samples > _MEMORY_BUDGET_BYTES:  # the (2, samples) float64 draw
+        raise ConfigError(f"--samples {args.samples} needs a {16 * args.samples}-byte draw,"
+                          f" over the {_MEMORY_BUDGET_BYTES}-byte limit")
     header = ["regime", "input", "output", "feasibility", "condition", "trend"]
     with _open_outputs(args.out) as (out,):
         report = analytic.verify_appendix(n_samples=args.samples, master_seed=args.master_seed)
@@ -444,15 +436,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scatter-out", dest="scatter_out")
     p.set_defaults(handler=_cmd_sweep)
 
-    p = sub.add_parser("regress", help="OLS of return on expected return from CSVs")
-    p.add_argument("inputs", nargs="+", help="trajectory or scatter CSV files")
-    p.add_argument("--out", help="report CSV (default: stdout)")
-    p.set_defaults(handler=_cmd_regress)
-
-    p = sub.add_parser("ar1", help="first-order autoregression of returns from CSVs")
-    p.add_argument("inputs", nargs="+", help="trajectory or scatter CSV files")
-    p.add_argument("--out", help="report CSV (default: stdout)")
-    p.set_defaults(handler=_cmd_ar1)
+    for verb, handler, text in (
+        ("regress", _cmd_regress, "OLS of return on expected return from CSVs"),
+        ("ar1", _cmd_ar1, "first-order autoregression of returns from CSVs"),
+    ):
+        p = sub.add_parser(verb, help=text)
+        p.add_argument("inputs", nargs="+", help="trajectory or scatter CSV files")
+        p.add_argument("--out", help="report CSV (default: stdout)")
+        p.set_defaults(handler=handler)
 
     p = sub.add_parser("verify-appendix", help="check the sign-case table against sampling")
     p.add_argument("--samples", type=_positive_int, default=1_000_000)

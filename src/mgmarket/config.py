@@ -20,9 +20,9 @@ BINARY_DECISIONS = (-1, 1)
 HOLD_DECISIONS = (-1, 0, 1)
 
 _MAX_MEMORY = 20  # 2^(m+1) strategy rows; anything bigger is a config mistake
-# bytes of the int64 draw behind one stock's strategy tables
-# (see strategy.sample_strategy_tables); configs above it cannot fit in memory
-_MAX_TABLE_DRAW_BYTES = 1 << 30
+# bytes of the largest array an input may ask for: one stock's int64 strategy-table
+# draw, a run's recorded series or the verify-appendix draw; more cannot fit in memory
+_MEMORY_BUDGET_BYTES = 1 << 30
 DEFAULT_EVENT_PROBABILITY = 0.0082  # the paper's; an event model without one takes it
 
 
@@ -93,14 +93,19 @@ def validate(config: ModelConfig) -> ModelConfig:
     if config.n_strategies <= 0:
         raise ConfigError(f"n_strategies must be positive, got {config.n_strategies}")
     table_bytes = 8 * config.n_agents * config.n_strategies * 2 ** (config.memory + 1)
-    if table_bytes > _MAX_TABLE_DRAW_BYTES:
+    if table_bytes > _MEMORY_BUDGET_BYTES:
         raise ConfigError(
             f"strategy tables of n_agents={config.n_agents}, n_strategies={config.n_strategies},"
             f" memory={config.memory} need a {table_bytes}-byte draw per stock,"
-            f" over the {_MAX_TABLE_DRAW_BYTES}-byte limit"
+            f" over the {_MEMORY_BUDGET_BYTES}-byte limit"
         )
     if config.horizon < 2:  # a return correlation needs two recorded steps
         raise ConfigError(f"horizon must be at least 2, got {config.horizon}")
+    # five 8-byte series per stock and step (see engine.simulate_trajectory)
+    series_bytes = 80 * (config.warmup_steps + config.horizon)
+    if series_bytes > _MEMORY_BUDGET_BYTES:
+        raise ConfigError(f"horizon={config.horizon} needs {series_bytes} bytes of series"
+                          f" per run, over the {_MEMORY_BUDGET_BYTES}-byte limit")
     if config.initial_price <= 0:
         raise ConfigError(f"initial_price must be positive, got {config.initial_price}")
     if len(config.a) != 2:

@@ -38,6 +38,7 @@ deviation of each stock's internal demand, then re-runs with shocks enabled.
 from __future__ import annotations
 
 import functools
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -258,15 +259,17 @@ class BatchResult:
 
 def pool_map(fn, tasks: list, threads: int | None) -> list:
     """``[fn(task) for task in tasks]``, spread over ``threads`` worker
-    processes when that is more than one.
+    processes, at most one per task and per CPU, when that is more than one.
 
     Results keep the order of ``tasks``.  Each worker takes about eight
-    chunks, so short tasks do not pay one round trip each.
+    chunks, so short tasks do not pay one round trip each.  The pool forks
+    all its workers at the first task, so the cap bounds the processes started.
     """
-    if threads is not None and threads > 1 and len(tasks) > 1:
+    workers = min(threads or 1, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # a serial map need not import it
-        chunk = max(1, len(tasks) // (threads * 8))
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        chunk = max(1, len(tasks) // (workers * 8))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, tasks, chunksize=chunk))
     return [fn(task) for task in tasks]
 

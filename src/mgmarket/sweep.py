@@ -101,17 +101,21 @@ def _sweep(
     values: tuple[Optional[Sequence[float]], Optional[Sequence[float]]],
     threads: Optional[int],
     collect_samples: bool,
-    shocks: Sequence[Optional[EventModel]] = (None,),
+    strengths: Sequence[Optional[float]] = (None,),
 ) -> list[SweepGrid]:
-    """Run ``base_config.n_runs`` runs at every cell of ``plane``, once per shock.
+    """Run ``base_config.n_runs`` runs at every cell of ``plane``, once per shock strength.
 
     ``values`` are the swept fields' axes, None for the default.  A cell sets them
     on a homogeneous or the base's uniform coupling, seeded by :func:`cell_seed`,
-    so a cell's runs under each shock are paired.  Every cell config is validated
-    as the one task list is built, so a bad one is refused before the first run;
-    one :func:`engine.pool_map` call runs the list.  Returns one grid per shock.
+    so a cell's runs under each strength are paired.  A strength shocks at the
+    base's event probability, or the paper's without an event model; None runs
+    unshocked.  Every cell config is validated as the one task list is built, so
+    a bad one is refused before the first run; one :func:`engine.pool_map` call
+    runs the list.  Returns one grid per strength.
     """
     validate(base_config)
+    probability = float(getattr(base_config.events, "probability", DEFAULT_EVENT_PROBABILITY))
+    shocks = [None if k is None else EventModel(probability, float(k)) for k in strengths]
     fields, default = EXPERIMENTS[plane]
     template = base_config.coupling
     if plane == "homogeneous":
@@ -188,14 +192,11 @@ def sweep_events(
 ) -> list[SweepGrid]:
     """One homogeneous grid per external-shock strength k, from one :func:`_sweep` call.
 
-    Shocks take the base's event probability, or the paper's without an event model.
     Cells across strengths share seeds, so each k grid is a paired variant of
     the k=0 baseline.  Every strength is checked before the first run.
     """
-    probability = getattr(base_config.events, "probability", DEFAULT_EVENT_PROBABILITY)
-    shocks = [EventModel(probability=float(probability), strength=float(k)) for k in k_values]
     return _sweep(base_config, "homogeneous", (b1_values, b2_values), threads, collect_samples,
-                  shocks)
+                  k_values)
 
 
 # --- CSV export -------------------------------------------------------------

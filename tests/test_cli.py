@@ -97,13 +97,15 @@ def test_simulate_event_strength_alone_shocks_at_the_paper_probability(tmp_path)
     assert runs["k"] != runs["plain"]
 
 
-def test_config_env_var(tmp_path, monkeypatch):
+def test_config_env_var_is_ignored(tmp_path, monkeypatch):
+    # --config alone names a config file
     cfg = tmp_path / "env.cfg"
-    cfg.write_text("n_agents = 31\nhorizon = 40\nn_runs = 1\nmaster_seed = 3\n")
+    cfg.write_text("horizon = 40\n")
     monkeypatch.setenv("MGMARKET_CONFIG", str(cfg))
     summary = tmp_path / "s.json"
-    assert run_cli("simulate", "--threads", "1", "--summary", str(summary)).exit_code == 0
-    assert json.loads(summary.read_text())["config"]["n_agents"] == 31
+    assert run_cli("simulate", "--n-agents", "31", "--runs", "1", "--seed", "3", "--threads", "1",
+                   "--summary", str(summary)).exit_code == 0
+    assert json.loads(summary.read_text())["config"]["horizon"] == ModelConfig().horizon
 
 
 def test_unknown_config_key_is_usage_error(tmp_path):
@@ -221,8 +223,16 @@ def test_seed_outside_64_bits_is_usage_error(monkeypatch, verb, seed):
         # a finite centre, but the drawn couplings sum past the float range
         (["simulate", "--c1", "0", "--delta1", "8e307", "--n-agents", "101", "--runs", "1"],
          "config.validate: couplings summed over 101 agents overflow"),
+        # series or a sample draw past the memory budget, refused before allocating
+        (["simulate", "--horizon", "1000000000000000000", "--runs", "1"],
+         "config.validate: horizon=1000000000000000000 needs 80000000000000000080 bytes"),
+        (["simulate", "--horizon", "4611686018427387904", "--runs", "1"],
+         "config.validate: horizon=4611686018427387904 needs"),
+        (["verify-appendix", "--samples", "100000000000"],
+         "config.validate: --samples 100000000000 needs a 1600000000000-byte draw"),
     ],
-    ids=["coupling-sum", "axis-rounding", "drawn-coupling-sum"],
+    ids=["coupling-sum", "axis-rounding", "drawn-coupling-sum", "horizon-huge", "horizon-2-62",
+         "samples-huge"],
 )
 def test_overflowing_value_exits_1_without_a_warning(argv, message):
     # in a fresh interpreter, so a numpy RuntimeWarning would reach stderr
@@ -243,6 +253,16 @@ def test_cli_import_leaves_the_process_pool_unloaded():
                           timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_threads_far_past_the_runs_start_no_more_workers_than_runs(pool_workers, tmp_path):
+    summary = tmp_path / "s.json"
+    outcome = run_cli("simulate", "--n-agents", "31", "--horizon", "50", "--runs", "2",
+                      "--threads", "1000000", "--summary", str(summary))
+    assert outcome.exit_code == 0
+    workers = min(2, os.cpu_count() or 1)
+    assert pool_workers == ([workers] if workers > 1 else [])
+    assert len(json.loads(summary.read_text())["runs"]) == 2
 
 
 def test_mixing_coupling_flags_rejected():
@@ -308,15 +328,19 @@ def test_sweep_bad_k_values_is_usage_error():
     assert "--k-values" in outcome.message
 
 
-def test_sweep_flag_of_unswept_axis_is_usage_error():
+def test_sweep_flag_of_unswept_axis_is_usage_error(monkeypatch):
+    def no_run(*_args):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(engine, "run", no_run)
     outcome = run_cli("sweep", "--experiment", "homogeneous", *SMALL, "--c1-min", "0")
     assert outcome.exit_code == 1
-    assert outcome.message == "config.validate: --experiment homogeneous does not sweep --c1-min"
+    assert outcome.message == "config.validate: --experiment homogeneous does not take --c1-min"
 
 
 POINT = ["--b1-min", "0.5", "--b1-max", "0.5", "--b1-step", "1",
          "--b2-min", "0.5", "--b2-max", "0.5", "--b2-step", "1"]
-# the one-cell grid of each experiment that does not sweep (b1, b2)
+# the one-cell grid of each experiment whose axes are not (b1, b2)
 UNIFORM_POINTS = {
     "centers": ["--c1-min", "0.5", "--c1-max", "0.5", "--c1-step", "1",
                 "--c2-min", "0.5", "--c2-max", "0.5", "--c2-step", "1"],
@@ -466,7 +490,7 @@ def test_two_outputs_naming_one_file_is_usage_error(monkeypatch, tmp_path, argv,
 )
 def test_sweep_uniform_experiments(tmp_path, experiment, axis, values):
     other = "c2" if experiment == "centers" else "delta2"
-    # the coupling flags a uniform plane reads are the ones it does not sweep
+    # the coupling flags a uniform plane reads are the ones outside its axes
     template = {"centers": ["--delta1", "1", "--delta2", "1"], "ranges": ["--c1", "0", "--c2", "0"]}
     lo, hi = sorted(values)
     out = tmp_path / "grid.csv"

@@ -282,6 +282,21 @@ def test_memory_budget_is_inclusive():
         validate(ModelConfig(n_agents=1, n_strategies=129, memory=19))
 
 
+def test_series_budget_is_inclusive_and_allocates_nothing():
+    # 80 bytes (five float64 series, two stocks) per warm-up or recorded step:
+    # 1 warm-up step plus 13,421,771 recorded ones is the largest run within 1 GiB
+    tracemalloc.start()
+    try:
+        at_limit = ModelConfig(horizon=13_421_771)
+        assert validate(at_limit) is at_limit
+        with pytest.raises(ConfigError, match="needs 1073741840 bytes of series per run"):
+            validate(ModelConfig(horizon=13_421_772))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
 def test_golden_configs_within_memory_budget(name):
     cfg = small_config(**GOLDEN_CASES[name])

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from dataclasses import fields, replace
@@ -386,6 +388,19 @@ def test_run_many_parallel_matches_serial():
     serial = run_many(cfg, threads=1)
     parallel = run_many(cfg, threads=2)
     assert correlations(serial) == correlations(parallel)
+
+
+def test_pool_map_starts_at_most_one_worker_per_task_and_cpu(pool_workers):
+    assert engine.pool_map(abs, [-1, -2, -3], 10**6) == [1, 2, 3]
+    workers = min(3, os.cpu_count() or 1)
+    assert pool_workers == ([workers] if workers > 1 else [])
+
+
+@pytest.mark.parametrize("threads,tasks", [(None, [-1, -2]), (1, [-1, -2]), (10**6, [-1])],
+                         ids=["threads-none", "threads-1", "one-task"])
+def test_pool_map_runs_serially_without_a_pool(pool_workers, threads, tasks):
+    assert engine.pool_map(abs, tasks, threads) == [-t for t in tasks]
+    assert pool_workers == []
 
 
 def test_nonpositive_price_aborts_with_context():
