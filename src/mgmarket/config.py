@@ -80,6 +80,12 @@ class ModelConfig:
         return max(1, self.memory)
 
 
+def series_bytes(config: ModelConfig) -> int:
+    """Bytes of one run's series: five 8-byte series per stock and warm-up or
+    recorded step (see engine.simulate_trajectory)."""
+    return 80 * (config.warmup_steps + config.horizon)
+
+
 def validate(config: ModelConfig) -> ModelConfig:
     """Check every invariant; return the config unchanged if all hold."""
     if config.n_agents <= 0:
@@ -101,10 +107,8 @@ def validate(config: ModelConfig) -> ModelConfig:
         )
     if config.horizon < 2:  # a return correlation needs two recorded steps
         raise ConfigError(f"horizon must be at least 2, got {config.horizon}")
-    # five 8-byte series per stock and step (see engine.simulate_trajectory)
-    series_bytes = 80 * (config.warmup_steps + config.horizon)
-    if series_bytes > _MEMORY_BUDGET_BYTES:
-        raise ConfigError(f"horizon={config.horizon} needs {series_bytes} bytes of series"
+    if series_bytes(config) > _MEMORY_BUDGET_BYTES:
+        raise ConfigError(f"horizon={config.horizon} needs {series_bytes(config)} bytes of series"
                           f" per run, over the {_MEMORY_BUDGET_BYTES}-byte limit")
     if config.initial_price <= 0:
         raise ConfigError(f"initial_price must be positive, got {config.initial_price}")

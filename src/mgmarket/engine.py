@@ -16,7 +16,8 @@ Step protocol (main loop), using only step t-1 data as inputs:
    and each row's swing are built once per pass, so a step compares the first
    and last score columns and sums the swings of the rows that take the last;
 4. decisions sum to the internal excess demand; an external shock is added
-   when the event model is active;
+   when the event model is active, read from a list that one
+   :func:`mgmarket.market.external_demand` call per stock fills before the loop;
 5. price and log return update from the total demand;
 6. every slot's score is updated with its hypothetical payoff.
 
@@ -32,7 +33,8 @@ single-asset game.
 
 When the event model is active, the run first executes a calibration pass
 with identical streams and events disabled to measure the baseline standard
-deviation of each stock's internal demand, then re-runs with shocks enabled.
+deviation of each stock's internal demand, then re-runs with shocks enabled,
+reading each ``events:j`` stream once, for all of its recorded steps.
 """
 
 from __future__ import annotations
@@ -44,8 +46,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import market, scoring, seeding, strategy
-from .config import ModelConfig, validate
-from .errors import CoefficientOutOfRangeError, NonPositivePriceError
+from .config import _MEMORY_BUDGET_BYTES, ModelConfig, series_bytes, validate
+from .errors import CoefficientOutOfRangeError, ConfigError, NonPositivePriceError
 from .expectation import sample_couplings
 from .market import MarketState, StockSeries
 from .stats import pearson
@@ -150,15 +152,18 @@ def simulate_trajectory(
                 views = [(d.T, f.T, d[0] != d[-1], int(counts @ d[0]), counts * (d[-1] - d[0]))
                          for d, f in zip(at.astype(np.int64), at.astype(np.float64))]
         k = len(tables)  # slot-major: slot s of row i is entry i + s * k, each column contiguous
+        shocks = [0.0] * total_steps  # each step's external demand: the whole pass's in one read
+        if shock_amplitudes is not None:
+            shocks[warm:] = market.external_demand(config.events.probability, shock_amplitudes[j],
+                                                   components.event_rngs[j], horizon)
         stocks.append((j, tables, b, views, np.zeros((s_slots, k)).T, counts, type_of, np.arange(k),
-                       components.tiebreak_rngs[j], components.event_rngs[j],
-                       components.warmup_decisions[j]))
+                       components.tiebreak_rngs[j], shocks, components.warmup_decisions[j]))
     owed = [0, 0]  # tie-break draws each stock skipped since its last draw
     for step in range(total_steps):
         lag = tuple(last_return)
-        for j, tables, b, views, scores, counts, type_of, rows, rng, events, warmup in stocks:
+        for j, tables, b, views, scores, counts, type_of, rows, rng, shocks, warmup in stocks:
             if step < warm:  # uniformly random decisions, no scoring
-                a_int, a_ext = market.excess_demand(warmup[step]), 0.0
+                a_int = market.excess_demand(warmup[step])
             else:
                 state = (b * lag[1 - j] + a_own[j] * lag[j] >= 0.0) + (hist[j] << 1)
                 if views is None:  # a state per agent
@@ -179,13 +184,8 @@ def simulate_trajectory(
                     else:  # skip the draw, and owe its stream the advance
                         owed[j] += n * s_slots
                         a_int = base + market.excess_demand(took, weights)
-                a_ext = 0.0
-                if shock_amplitudes is not None:
-                    a_ext = market.external_demand(
-                        config.events.probability, shock_amplitudes[j], events
-                    )
 
-            a_total = a_int + a_ext
+            a_total = a_int + shocks[step]
             try:
                 price = market.update_price(prev_price[j], a_total)
             except NonPositivePriceError as exc:
@@ -278,9 +278,13 @@ def run_many(config: ModelConfig, threads: int | None = None) -> BatchResult:
     """Execute ``config.n_runs`` independent runs and average the correlation.
 
     Runs are seeded by index, so results do not depend on execution order or
-    worker count.
+    worker count.  Every run's series is kept, so a batch whose series exceed
+    the memory budget is refused before its first run.
     """
     validate(config)
+    if config.n_runs * series_bytes(config) > _MEMORY_BUDGET_BYTES:
+        raise ConfigError(f"{config.n_runs} runs need {config.n_runs * series_bytes(config)} bytes"
+                          f" of series, over the {_MEMORY_BUDGET_BYTES}-byte limit")
     results = pool_map(functools.partial(run, config), list(range(config.n_runs)), threads)
     mean_rho = float(np.mean([r.correlation for r in results]))
     return BatchResult(runs=results, mean_correlation=mean_rho)

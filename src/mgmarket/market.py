@@ -25,17 +25,26 @@ def excess_demand(decisions, counts=None) -> int:
     return int(np.asarray(decisions).sum() if counts is None else counts.dot(decisions))
 
 
-def external_demand(probability: float, amplitude: float, rng: np.random.Generator) -> float:
-    """One step's external shock: +/- amplitude with ``probability``, else 0.
+def external_demand(probability: float, amplitude: float, rng: np.random.Generator,
+                    steps: int) -> list[float]:
+    """External shocks of ``steps`` steps: +/- amplitude with ``probability``, else 0.
 
-    Both the occurrence draw and the sign draw are consumed every call so the
-    stream schedule does not depend on outcomes.
+    Bit for bit the shocks of per-step draws ``rng.random() < probability`` and
+    ``rng.integers(0, 2)`` (odd is minus), read in one ``random_raw`` call.
+    ``random()`` maps a 64-bit word ``w`` to ``(w >> 11) * 2**-53``; ``integers(0,
+    2)`` is the top bit of a 32-bit half, never rejected: the low half of a fresh
+    word, then its buffered high half.  So steps (t, t+1) read the words
+    [occurrence t, sign word, occurrence t+1], with signs in bits 31 and 63.  A
+    test against the per-step calls guards this layout across numpy releases.
     """
-    fired = rng.random() < probability
-    odd_parity = int(rng.integers(0, 2))
-    if not fired:
-        return 0.0
-    return -amplitude if odd_parity else amplitude
+    bits = rng.bit_generator
+    if type(bits) is not np.random.PCG64 or bits.state["has_uint32"]:
+        raise ValueError("external shocks are read from a PCG64 stream with no buffered half-word")
+    pairs = -(-steps // 2)  # an odd count pads its last pair, then cuts the extra step
+    words = np.resize(bits.random_raw(steps + pairs), 3 * pairs).reshape(pairs, 3)
+    fired = (words[:, ::2] >> np.uint64(11)) * 2.0**-53 < probability
+    minus = words[:, 1:2] >> np.array([31, 63], dtype=np.uint64) & np.uint64(1)
+    return np.where(fired, np.where(minus, -amplitude, amplitude), 0.0).reshape(-1)[:steps].tolist()
 
 
 def update_price(prev_price: float, total_demand: float) -> float:

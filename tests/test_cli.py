@@ -265,6 +265,23 @@ def test_threads_far_past_the_runs_start_no_more_workers_than_runs(pool_workers,
     assert len(json.loads(summary.read_text())["runs"]) == 2
 
 
+def test_runs_whose_series_exceed_the_budget_are_refused_before_any_run(monkeypatch):
+    def no_run(*_args):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(engine, "run", no_run)
+    outcome = run_cli("simulate", "--runs", "13409", "--threads", "1")
+    assert outcome.exit_code == 1
+    assert outcome.message == ("config.validate: 13409 runs need 1073792720 bytes of series,"
+                               " over the 1073741824-byte limit")
+
+
+def test_largest_run_count_within_the_budget_is_accepted(monkeypatch):
+    monkeypatch.setattr(engine, "run", lambda config, index: engine.RunResult(None, 0.0, index))
+    outcome = run_cli("simulate", "--runs", "13408", "--threads", "1")
+    assert outcome.exit_code == 0
+
+
 def test_mixing_coupling_flags_rejected():
     outcome = run_cli("simulate", *SMALL, "--b1", "0.5", "--c1", "0.5")
     assert outcome.exit_code == 1

@@ -7,6 +7,7 @@ from hypothesis import given, reject, settings, strategies as st
 
 from mgmarket import (
     CoefficientOutOfRangeError,
+    ConfigError,
     DegenerateSeriesError,
     EventModel,
     HomogeneousCoupling,
@@ -297,11 +298,14 @@ def test_each_stock_step_selects_once_and_prices_once(monkeypatch, overrides, sh
 
     count(scoring, "select_slots")
     count(market, "update_price")
+    count(market, "external_demand")
     cfg = small_config(n_agents=301, **overrides)
     assert _shared_types(cfg, build_components(cfg, 0)) == [shared, shared]
     run(cfg, 0)
+    # the shocked pass, the last of an events run, reads each stock's shocks in one call
     assert calls == {"select_slots": 2 * cfg.horizon * passes,
-                     "update_price": 2 * (cfg.warmup_steps + cfg.horizon) * passes}
+                     "update_price": 2 * (cfg.warmup_steps + cfg.horizon) * passes,
+                     **({"external_demand": 2} if cfg.events else {})}
 
 
 def test_oracle_meets_zero_returns_and_expectations():
@@ -401,6 +405,24 @@ def test_pool_map_starts_at_most_one_worker_per_task_and_cpu(pool_workers):
 def test_pool_map_runs_serially_without_a_pool(pool_workers, threads, tasks):
     assert engine.pool_map(abs, tasks, threads) == [-t for t in tasks]
     assert pool_workers == []
+
+
+def _no_run(*_args):
+    raise AssertionError("a run started")
+
+
+def test_run_many_refuses_series_past_the_budget_before_any_run(monkeypatch):
+    # 80 bytes per warm-up or recorded step and run: 13,409 runs of 1 + 1,000
+    # steps need 1,073,792,720 bytes, past 1 GiB
+    monkeypatch.setattr(engine, "run", _no_run)
+    with pytest.raises(ConfigError, match="13409 runs need 1073792720 bytes of series"):
+        run_many(ModelConfig(n_runs=13_409), threads=1)
+
+
+def test_run_many_accepts_the_largest_batch_within_the_budget(monkeypatch):
+    monkeypatch.setattr(engine, "run", lambda config, index: engine.RunResult(None, 0.0, index))
+    batch = run_many(ModelConfig(n_runs=13_408), threads=1)
+    assert [r.run_index for r in batch.runs] == list(range(13_408))
 
 
 def test_nonpositive_price_aborts_with_context():

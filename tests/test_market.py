@@ -4,6 +4,7 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mgmarket import NonPositivePriceError
 from mgmarket.market import (
@@ -63,18 +64,58 @@ def test_log_return_examples():
 
 
 def test_external_demand_never_fires_at_p0(rng):
-    assert all(external_demand(0.0, 400.0, rng) == 0.0 for _ in range(200))
+    assert external_demand(0.0, 400.0, rng, 200) == [0.0] * 200
 
 
 def test_external_demand_sign_frequencies(rng):
-    draws = np.array([external_demand(1.0, 20.0, rng) for _ in range(10_000)])
+    draws = np.array(external_demand(1.0, 20.0, rng, 10_000))
     assert set(np.unique(draws)) == {-20.0, 20.0}
     assert abs(np.mean(draws > 0) - 0.5) < 0.02
 
 
 def test_external_demand_event_frequency(rng):
-    draws = np.array([external_demand(0.0082, 10.0, rng) for _ in range(100_000)])
+    draws = np.array(external_demand(0.0082, 10.0, rng, 100_000))
     assert abs(np.mean(draws != 0.0) - 0.0082) < 0.002
+
+
+def _per_step_shocks(probability, amplitude, rng, steps):
+    """The shocks as drawn one step at a time: occurrence, then sign."""
+    shocks = []
+    for _ in range(steps):
+        fired = rng.random() < probability
+        minus = rng.integers(0, 2) == 1
+        shocks.append((-amplitude if minus else amplitude) if fired else 0.0)
+    return shocks
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), steps=st.integers(1, 2001),
+       probability=st.sampled_from([0.0, 0.0082, 0.5, 1.0]),
+       amplitude=st.floats(allow_nan=False))
+def test_external_demand_reads_the_per_step_draws_in_one_call(seed, steps, probability, amplitude):
+    bulk = external_demand(probability, amplitude, np.random.default_rng(seed), steps)
+    per_step = _per_step_shocks(probability, amplitude, np.random.default_rng(seed), steps)
+    # equal values with equal signs, so a shock of -0.0 is not taken for 0.0
+    assert [(v, math.copysign(1.0, v)) for v in bulk] == [(v, math.copysign(1.0, v)) for v in per_step]
+
+
+@pytest.mark.parametrize("steps", [1, 2, 3, 1000, 1001])
+def test_external_demand_leaves_the_stream_where_per_step_draws_leave_it(steps):
+    bulk, per_step = np.random.default_rng(99), np.random.default_rng(99)
+    external_demand(0.0082, 10.0, bulk, steps)
+    _per_step_shocks(0.0082, 10.0, per_step, steps)
+    assert bulk.bit_generator.state["state"] == per_step.bit_generator.state["state"]
+
+
+def test_external_demand_refuses_another_bit_generator():
+    with pytest.raises(ValueError, match="PCG64"):
+        external_demand(0.5, 1.0, np.random.Generator(np.random.Philox(7)), 10)
+
+
+def test_external_demand_refuses_a_buffered_half_word(rng):
+    rng.integers(0, 2)
+    with pytest.raises(ValueError, match="buffered half-word"):
+        external_demand(0.5, 1.0, rng, 10)
 
 
 def test_trajectory_csv_shape(rng):
