@@ -27,6 +27,8 @@ from typing import Optional
 
 import numpy as np
 
+from .config import _MEMORY_BUDGET_BYTES
+from .errors import ConfigError
 from .seeding import fold_seed
 
 Quadrant = tuple[int, int]
@@ -174,6 +176,9 @@ def brute_force_feasibility(
 
 # --- oracle-agreement verification ----------------------------------------
 
+# _sample's peak per sample: the (2, n) float64 draw, one float64 buffer and at
+# most eight boolean masks alive at once (two signs, four quadrants, two temporaries)
+_PEAK_BYTES_PER_SAMPLE = 16 + 8 + 8
 _FEASIBILITY_MAGNITUDES = (0.1, 0.5, 0.9)
 _TREND_MAGNITUDES = (0.1, 0.3, 0.5, 0.7, 0.9)
 # the magnitude of the weight a trend does not move
@@ -229,8 +234,15 @@ def verify_appendix(n_samples: int = 1_000_000, master_seed: int = 0) -> Appendi
     declared, condition membership must coincide pointwise with landing in
     the output quadrant; where a trend is declared, the frequency must be
     strictly monotone in the stated direction along a five-point grid
-    approaching the limit.
+    approaching the limit.  A seed outside [0, 2^64) and a sample count whose
+    peak passes the memory budget are refused before the first sample.
     """
+    if not 0 <= master_seed < 1 << 64:  # as config.validate bounds master_seed
+        raise ConfigError(f"master_seed must lie in [0, 2^64), got {master_seed}")
+    peak = _PEAK_BYTES_PER_SAMPLE * n_samples
+    if peak > _MEMORY_BUDGET_BYTES:
+        raise ConfigError(f"{n_samples} samples need {peak} bytes at their peak,"
+                          f" over the {_MEMORY_BUDGET_BYTES}-byte limit")
     checks: list[CaseCheck] = []
     for regime, input_q in itertools.product(REGIME_SIGNS, QUADRANTS):
         block = {q: classify(regime, input_q, q) for q in QUADRANTS}

@@ -32,7 +32,6 @@ from . import analytic, engine, market, stats, sweep
 from .config import (
     _HOMOGENEOUS_KEYS,
     _KEYS,
-    _MEMORY_BUDGET_BYTES,
     _UNIFORM_KEYS,
     DEFAULT_UNIFORM,
     ModelConfig,
@@ -379,11 +378,6 @@ def _cmd_verify_appendix(args) -> CommandOutcome:
     def fmt(flag) -> str:
         return "-" if flag is None else ("ok" if flag else "FAIL")
 
-    if not 0 <= args.master_seed < 1 << 64:  # as config.validate bounds master_seed
-        raise ConfigError(f"--seed must lie in [0, 2^64), got {args.master_seed}")
-    if 16 * args.samples > _MEMORY_BUDGET_BYTES:  # the (2, samples) float64 draw
-        raise ConfigError(f"--samples {args.samples} needs a {16 * args.samples}-byte draw,"
-                          f" over the {_MEMORY_BUDGET_BYTES}-byte limit")
     header = ["regime", "input", "output", "feasibility", "condition", "trend"]
     with _open_outputs(args.out) as (out,):
         report = analytic.verify_appendix(n_samples=args.samples, master_seed=args.master_seed)

@@ -4,17 +4,17 @@ both stocks, and trajectory recording.
 Step protocol (main loop), using only step t-1 data as inputs:
 
 1. each agent's expected return per stock from both stocks' lagged returns;
-2. information state per stock: last m return signs plus the expectation sign;
-   when the agents share one coupling, they share one expectation, and the
-   state is one integer whose (slots, rows) table slice is read, not gathered;
-3. each agent plays its highest-scoring strategy slot (ties uniform); with one
-   coupling, at most two slots and fewer possible tables than agents, each
-   held table is scored once and ``tiebreak:j`` drawn only when a tie can
-   change the demand; the draws skipped are owed, and the stream advances by
-   all it owes in one jump just before the stock's next draw and at the end
-   of the pass.  Each state's rows a tie can swing, its all-first-slot demand
-   and each row's swing are built once per pass, so a step compares the first
-   and last score columns and sums the swings of the rows that take the last;
+2. information state per stock: last m return signs plus the expectation sign,
+   one integer when the agents share one coupling, and so one expectation;
+3. each agent plays its highest-scoring strategy slot (ties uniform).  A stock
+   with one coupling and one or two slots takes the type-row step: its rows are
+   the distinct tables held when fewer are possible than agents, else the
+   agents, each scored once; ``tiebreak:j`` is drawn only when a tie can change
+   the demand, and the stream advances by all the draws it skipped in one jump
+   just before the stock's next draw and at the end of the pass.  A state's
+   rows a tie can swing, its all-first-slot demand and each row's swing are
+   built on the pass's first visit to it.  Any other stock takes the per-agent
+   step: a state per agent, and the draw every step;
 4. decisions sum to the internal excess demand; an external shock is added
    when the event model is active, read from a list that one
    :func:`mgmarket.market.external_demand` call per stock fills before the loop;
@@ -94,17 +94,25 @@ def build_components(config: ModelConfig, run_index: int) -> RunComponents:
 
 
 def _agent_types(tables: np.ndarray, values) -> tuple:
-    """With at most two slots and fewer possible tables over ``values`` than
-    agents, the distinct (slots, rows) tables the agents hold, each one's agent
-    count (at least 1) and each agent's row.  Else the agents."""
+    """With fewer possible tables over ``values`` than agents, the distinct
+    tables the agents hold, each one's agent count (at least 1) and each
+    agent's row.  Else the agents themselves: count 1 and the identity map."""
     n, s, rows = tables.shape
     # |values| >= 2, so the bit length decides first, before the power grows huge
-    if s > 2 or s * rows >= n.bit_length() or len(values) ** (s * rows) >= n:
-        return tables, None, None
+    if s * rows >= n.bit_length() or len(values) ** (s * rows) >= n:
+        return tables, np.ones(n, dtype=np.intp), np.arange(n)
     # one byte string per agent: unique(axis=0) compares field by field, ~15x slower
     keys = np.ascontiguousarray(tables).reshape(n, -1).view(f"V{tables[0].nbytes}")[:, 0]
     held, type_of, counts = np.unique(keys, return_inverse=True, return_counts=True)
     return held.view(tables.dtype).reshape(-1, s, rows), counts, type_of
+
+
+def _state_views(tables: np.ndarray, counts: np.ndarray, state: int) -> tuple:
+    """One state's (rows, slots) decisions as int64 and as float64, so a step
+    casts nothing; the rows a tie can swing, the all-first-slot demand and
+    each row's swing."""
+    d = np.ascontiguousarray(tables[:, :, state].T, dtype=np.int64)  # slot-major
+    return d.T, d.T.astype(np.float64), d[0] != d[-1], int(counts @ d[0]), counts * (d[-1] - d[0])
 
 
 def simulate_trajectory(
@@ -139,48 +147,41 @@ def simulate_trajectory(
         raise CoefficientOutOfRangeError(f"couplings summed over {n} agents overflow") from None
     stocks = []
     for j, tables, b in zip((0, 1), components.tables, components.couplings):
-        views = counts = type_of = None
-        if (b == b[0]).all():  # one public state per step: per state, its (rows, slots) views
+        views, type_of = None, np.arange(n)  # a state per agent, each agent its own row
+        if s_slots <= 2 and (b == b[0]).all():  # one state per step; views built on first visit
             b = float(b[0])
             tables, counts, type_of = _agent_types(tables, config.decision_set)
-            at = np.ascontiguousarray(tables.transpose(2, 1, 0))  # state-major, then slot-major
-            # (decisions, scored decisions, selection mask, base demand, weights) per state; few
-            # rows keep int64 decisions and float64 scored ones, so a step casts nothing
-            if counts is None:
-                views = [(d.T, d.T, None, 0, None) for d in at]
-            else:  # the rows a tie can swing, the all-first-slot demand, each row's swing
-                views = [(d.T, f.T, d[0] != d[-1], int(counts @ d[0]), counts * (d[-1] - d[0]))
-                         for d, f in zip(at.astype(np.int64), at.astype(np.float64))]
+            views = functools.cache(functools.partial(_state_views, tables, counts))
         k = len(tables)  # slot-major: slot s of row i is entry i + s * k, each column contiguous
         shocks = [0.0] * total_steps  # each step's external demand: the whole pass's in one read
         if shock_amplitudes is not None:
             shocks[warm:] = market.external_demand(config.events.probability, shock_amplitudes[j],
                                                    components.event_rngs[j], horizon)
-        stocks.append((j, tables, b, views, np.zeros((s_slots, k)).T, counts, type_of, np.arange(k),
+        stocks.append((j, tables, b, views, np.zeros((s_slots, k)).T, type_of,
                        components.tiebreak_rngs[j], shocks, components.warmup_decisions[j]))
     owed = [0, 0]  # tie-break draws each stock skipped since its last draw
     for step in range(total_steps):
         lag = tuple(last_return)
-        for j, tables, b, views, scores, counts, type_of, rows, rng, shocks, warmup in stocks:
+        for j, tables, b, views, scores, type_of, rng, shocks, warmup in stocks:
             if step < warm:  # uniformly random decisions, no scoring
                 a_int = market.excess_demand(warmup[step])
             else:
                 state = (b * lag[1 - j] + a_own[j] * lag[j] >= 0.0) + (hist[j] << 1)
-                if views is None:  # a state per agent
+                if views is None:  # a state per agent, and a draw every step
                     decided = scored = strategy.decide_all_slots(tables, state)
-                else:
-                    decided, scored, mask, base, weights = views[state]
-                if counts is None:
                     slot = scoring.select_slots(scores, rng)
-                    a_int = market.excess_demand(decided.T.reshape(-1)[rows + slot * n])
+                    a_int = market.excess_demand(decided.T.reshape(-1)[type_of + slot * n])
                 else:
+                    decided, scored, mask, base, weights = views(state)
                     took = scoring.select_slots(scores, mask)
                     if took is None:
                         # a tie changes the demand: each agent takes its top slot of most jitter
                         rng.bit_generator.advance(owed[j])
                         owed[j] = 0
-                        own_slot = scoring.top_slots(scores[type_of], rng.random((n, s_slots)))
-                        a_int = market.excess_demand(decided[type_of, own_slot])
+                        own_slot = scoring.top_slots(scores.T.take(type_of, 1).T,
+                                                     rng.random((n, s_slots)))
+                        a_int = market.excess_demand(
+                            decided.T.reshape(-1)[type_of + own_slot * len(scores)])
                     else:  # skip the draw, and owe its stream the advance
                         owed[j] += n * s_slots
                         a_int = base + market.excess_demand(took, weights)

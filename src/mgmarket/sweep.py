@@ -28,6 +28,7 @@ import numpy as np
 
 from . import engine
 from .config import (
+    _MEMORY_BUDGET_BYTES,
     DEFAULT_EVENT_PROBABILITY,
     Coupling,
     EventModel,
@@ -36,9 +37,15 @@ from .config import (
     UniformCoupling,
     validate,
 )
+from .errors import ConfigError
 from .seeding import fold_seed
 
 DEFAULT_K_VALUES = (1.0, 2.0, 3.0, 4.0)
+
+# Bytes a sweep holds per run at its peak, as tracemalloc reads it over 10^5 to 10^6
+# runs of one cell: its task and outcome (185); with samples, also their headers and
+# tuples (821) beside two expectation and two return series of 8 bytes per step
+_RUN_BYTES, _SAMPLES_RUN_BYTES = 192, 832
 
 # plane -> (the two coupling fields it sweeps, their default axis)
 EXPERIMENTS = {
@@ -109,9 +116,11 @@ def _sweep(
     on a homogeneous or the base's uniform coupling, seeded by :func:`cell_seed`,
     so a cell's runs under each strength are paired.  A strength shocks at the
     base's event probability, or the paper's without an event model; None runs
-    unshocked.  Every cell config is validated as the one task list is built, so
-    a bad one is refused before the first run; one :func:`engine.pool_map` call
-    runs the list.  Returns one grid per strength.
+    unshocked.  A sweep whose runs, held until its grids are built, pass the
+    memory budget is refused before its task list is built.  Every cell config is
+    validated as the one task list is built, so a bad one is refused before the
+    first run; one :func:`engine.pool_map` call runs the list.  Returns one grid
+    per strength.
     """
     validate(base_config)
     probability = float(getattr(base_config.events, "probability", DEFAULT_EVENT_PROBABILITY))
@@ -123,9 +132,15 @@ def _sweep(
     elif not isinstance(template, UniformCoupling):
         raise ValueError(f"{plane} sweep requires a uniform coupling template")
     axes = tuple(np.asarray(default if v is None else v, dtype=float) for v in values)
-    t0 = time.monotonic()
     n1, n2 = map(len, axes)
     n_runs = base_config.n_runs
+    runs = len(shocks) * n1 * n2 * n_runs
+    steps = base_config.warmup_steps + base_config.horizon
+    held = runs * (_RUN_BYTES + collect_samples * (_SAMPLES_RUN_BYTES + 32 * steps))
+    if held > _MEMORY_BUDGET_BYTES:
+        raise ConfigError(f"{runs} sweep runs need {held} bytes, over the"
+                          f" {_MEMORY_BUDGET_BYTES}-byte limit")
+    t0 = time.monotonic()
     tasks = []
     for events in shocks:
         for v1 in axes[0]:

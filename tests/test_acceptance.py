@@ -278,8 +278,8 @@ def test_criterion_12_standard_minority_game_volatility():
     Marsili & Zecchina, PRL 84, 1824, 2000): crowded, far above the
     random-agent value 1, while alpha << 1 (it falls as 1/alpha there); a
     minimum well below 1 near alpha = 0.3-0.6; then back up toward 1 at
-    alpha >> 1.  m = 1 scores agent types and m >= 5 the agents, so both
-    step kernels are checked.  Each run lasts until every one of the 2^m
+    alpha >> 1.  m = 1 scores the held tables and m >= 5 each agent as its
+    own type row, so both kinds of row are checked.  Each run lasts until every one of the 2^m
     histories recurs about ten times, and the second half is measured.
     """
     n = 1001

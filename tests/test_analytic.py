@@ -1,11 +1,12 @@
 import itertools
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from mgmarket import analytic
+from mgmarket import ConfigError, analytic
 from mgmarket.analytic import (
     CASE_TABLE,
     QUADRANTS,
@@ -196,3 +197,39 @@ def test_sample_and_holds_match_out_of_place_formulas(seed):
                 for name in filter(None, (verdict.lower, verdict.upper)):
                     got = analytic._BOUNDS[name](b, dx, dy)
                     assert got.tobytes() == _BOUNDS_NEGATING_THE_SAMPLE[name](b, dx, dy).tobytes()
+
+
+def _no_sample(*_args):
+    raise AssertionError("sampled")
+
+
+def test_verify_appendix_refuses_samples_past_the_budget_before_sampling(monkeypatch):
+    # 32 bytes per sample at the peak, so 33,554,432 samples fill 1 GiB exactly
+    monkeypatch.setattr(analytic, "_sample", _no_sample)
+    message = "^33554433 samples need 1073741856 bytes at their peak, over the 1073741824-byte limit$"
+    with pytest.raises(ConfigError, match=message):
+        verify_appendix(n_samples=33_554_433)
+    with pytest.raises(AssertionError, match="sampled"):  # accepted: it goes on to sample
+        verify_appendix(n_samples=33_554_432)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64], ids=["negative", "two-to-the-64"])
+def test_verify_appendix_refuses_a_seed_outside_64_bits_before_sampling(monkeypatch, seed):
+    monkeypatch.setattr(analytic, "_sample", _no_sample)
+    with pytest.raises(ConfigError, match=re.escape(f"must lie in [0, 2^64), got {seed}")):
+        verify_appendix(n_samples=10, master_seed=seed)
+    with pytest.raises(AssertionError, match="sampled"):
+        verify_appendix(n_samples=10, master_seed=2**64 - 1)
+
+
+def test_verify_appendix_peak_stays_within_its_bytes_per_sample():
+    # the refusal's rule bounds the real peak: 32 bytes per sample, plus under
+    # 1 MiB that does not grow with the sample count
+    n = 200_000
+    tracemalloc.start()
+    try:
+        verify_appendix(n_samples=n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * n + (1 << 20)

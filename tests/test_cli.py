@@ -206,7 +206,7 @@ def test_seed_outside_64_bits_is_usage_error(monkeypatch, verb, seed):
         raise AssertionError("a run started")
 
     monkeypatch.setattr(engine, "run", no_run)
-    monkeypatch.setattr(analytic, "verify_appendix", no_run)
+    monkeypatch.setattr(analytic, "_sample", no_run)
     flags = {"simulate": SMALL, "sweep": ["--experiment", "homogeneous", *SMALL]}.get(verb, [])
     outcome = run_cli(verb, *flags, "--seed", seed)
     assert outcome.exit_code == 1
@@ -229,7 +229,7 @@ def test_seed_outside_64_bits_is_usage_error(monkeypatch, verb, seed):
         (["simulate", "--horizon", "4611686018427387904", "--runs", "1"],
          "config.validate: horizon=4611686018427387904 needs"),
         (["verify-appendix", "--samples", "100000000000"],
-         "config.validate: --samples 100000000000 needs a 1600000000000-byte draw"),
+         "config.validate: 100000000000 samples need 3200000000000 bytes at their peak"),
     ],
     ids=["coupling-sum", "axis-rounding", "drawn-coupling-sum", "horizon-huge", "horizon-2-62",
          "samples-huge"],
@@ -280,6 +280,23 @@ def test_largest_run_count_within_the_budget_is_accepted(monkeypatch):
     monkeypatch.setattr(engine, "run", lambda config, index: engine.RunResult(None, 0.0, index))
     outcome = run_cli("simulate", "--runs", "13408", "--threads", "1")
     assert outcome.exit_code == 0
+
+
+def test_sweep_runs_past_the_budget_are_refused_before_any_run(monkeypatch, tmp_path):
+    def no_run(*_args):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(engine, "run", no_run)
+    outcome = run_cli("sweep", "--experiment", "homogeneous", "--runs", "1000000000000")
+    assert outcome.exit_code == 1
+    assert outcome.message == ("config.validate: 441000000000000 sweep runs need"
+                               " 84672000000000000 bytes, over the 1073741824-byte limit")
+    # the default events sweep keeps 88,200 runs' samples for its scatter file
+    scatter = tmp_path / "s.csv"
+    outcome = run_cli("sweep", "--experiment", "events", "--scatter-out", str(scatter))
+    assert outcome.exit_code == 1
+    assert outcome.message.startswith("config.validate: 88200 sweep runs need 2915539200 bytes")
+    assert not scatter.exists()
 
 
 def test_mixing_coupling_flags_rejected():

@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from mgmarket import (
     run,
     run_many,
 )
-from mgmarket import engine, market, scoring, seeding
+from mgmarket import engine, market, scoring, seeding, strategy
 from mgmarket.engine import build_components, simulate_trajectory
 from mgmarket.market import StockSeries
 
@@ -176,10 +177,9 @@ def test_engine_matches_oracle_across_axes(overrides):
 
 
 def _shared_types(cfg, components):
-    """Per stock, whether the kernel scores agent types (its counts are None
-    when it scores the agents themselves)."""
-    return [bool((b == b[0]).all()) and engine._agent_types(t, cfg.decision_set)[1] is not None
-            for t, b in zip(components.tables, components.couplings)]
+    """Per stock, whether the kernel takes the type-row step: its agents share
+    one coupling and hold at most two slots.  Else it takes the per-agent step."""
+    return [cfg.n_strategies <= 2 and bool((b == b[0]).all()) for b in components.couplings]
 
 
 class _CountingDraws(np.random.Generator):
@@ -208,20 +208,26 @@ def test_agent_types_are_the_tables_agents_hold():
 
 def test_agent_types_of_huge_tables_are_the_agents_at_once():
     # 3^(2 * 2^21) possible tables against one agent: decided by bit length,
-    # without building that power
+    # without building that power, so the agent is its own row, count 1
     tables = np.broadcast_to(np.int8(0), (1, 2, 2**21))
     rows, counts, type_of = engine._agent_types(tables, (-1, 0, 1))
-    assert rows is tables and counts is None and type_of is None
+    assert rows is tables and counts.tolist() == [1] and type_of.tolist() == [0]
 
 
-def test_agent_types_beyond_two_slots_are_the_agents():
+def test_agent_types_beyond_two_slots_are_the_agents(monkeypatch):
     # 4097 binary agents hold some of the 2^12 possible (m=1, S=3) tables twice,
-    # but only one or two slots form types
-    cfg = small_config(n_agents=4097, n_strategies=3)
-    for tables in build_components(cfg, 0).tables:
-        rows, counts, type_of = engine._agent_types(tables, cfg.decision_set)
-        assert len({table.tobytes() for table in tables}) < cfg.n_agents
-        assert rows is tables and counts is None and type_of is None
+    # but only one or two slots form types: a shared coupling at S=3 takes the
+    # per-agent step, which reads each agent's decisions at its own state every step
+    cfg = small_config(n_agents=4097, n_strategies=3, horizon=30)
+    comps = build_components(cfg, 0)
+    assert all(len({table.tobytes() for table in tables}) < cfg.n_agents for tables in comps.tables)
+    assert _shared_types(cfg, comps) == [False, False]
+    calls = []
+    decide = strategy.decide_all_slots
+    monkeypatch.setattr(strategy, "decide_all_slots",
+                        lambda tables, state: calls.append(tables.shape) or decide(tables, state))
+    simulate_trajectory(cfg, comps)
+    assert calls == [comps.tables[0].shape] * (2 * cfg.horizon)
 
 
 @pytest.mark.parametrize(
@@ -254,7 +260,7 @@ def test_engine_matches_oracle_with_shared_agent_types(monkeypatch, overrides):
     [(dict(coupling=HomogeneousCoupling(0.5, -0.3)), True, None),
      (dict(coupling=HomogeneousCoupling(0.5, -0.3), events=EventModel(0.1, 2.0)), True, (9.0, 4.5)),
      (dict(coupling=UniformCoupling(0.0, 1.0, 0.2, 0.5)), False, None),
-     (dict(coupling=HomogeneousCoupling(0.5, -0.3), allow_hold=True), False, None)],
+     (dict(coupling=HomogeneousCoupling(0.5, -0.3), allow_hold=True), True, None)],
     ids=["shared-types", "shared-types-shocked", "distinct-agents", "shared-coupling-holds"],
 )
 def test_tiebreak_streams_end_where_per_agent_draws_leave_them(overrides, shared, shocks):
@@ -279,12 +285,15 @@ def test_tiebreak_streams_end_where_per_agent_draws_leave_them(overrides, shared
     "overrides,shared,passes",
     [(dict(), True, 1), (dict(n_strategies=1), True, 1),
      (dict(coupling=UniformCoupling(0.0, 1.0, 0.2, 0.5)), False, 1),
-     (dict(events=EventModel(0.1, 2.0)), True, 2)],
-    ids=["s2-types", "s1-types", "uniform-agents", "events-calibrated"],
+     (dict(events=EventModel(0.1, 2.0)), True, 2),
+     (dict(n_strategies=3), False, 1), (dict(allow_hold=True), True, 1)],
+    ids=["s2-types", "s1-types", "uniform-agents", "events-calibrated", "s3-shared",
+         "holds-shared"],
 )
 def test_each_stock_step_selects_once_and_prices_once(monkeypatch, overrides, shared, passes):
     # perfbench's self-check pins these counts, taken through the module
-    # attributes as its tracer takes them; an events run adds its calibration pass
+    # attributes as its tracer takes them; an events run adds its calibration pass.
+    # Only the per-agent step reads decisions per agent state, once per stock-step
     calls = {}
 
     def count(module, name):
@@ -299,13 +308,30 @@ def test_each_stock_step_selects_once_and_prices_once(monkeypatch, overrides, sh
     count(scoring, "select_slots")
     count(market, "update_price")
     count(market, "external_demand")
+    count(strategy, "decide_all_slots")
     cfg = small_config(n_agents=301, **overrides)
     assert _shared_types(cfg, build_components(cfg, 0)) == [shared, shared]
     run(cfg, 0)
     # the shocked pass, the last of an events run, reads each stock's shocks in one call
     assert calls == {"select_slots": 2 * cfg.horizon * passes,
                      "update_price": 2 * (cfg.warmup_steps + cfg.horizon) * passes,
-                     **({"external_demand": 2} if cfg.events else {})}
+                     **({"external_demand": 2} if cfg.events else {}),
+                     **({} if shared else {"decide_all_slots": 2 * cfg.horizon * passes})}
+
+
+def test_one_agent_type_row_builds_views_for_visited_states_only():
+    # one agent at m=16 with holds holds one of 3^(2 * 2^17) possible tables, so
+    # it is its own type row; two recorded steps visit at most two states per
+    # stock, so the pass builds no view of the other 2^17 - 2
+    cfg = ModelConfig(n_agents=1, memory=16, horizon=2, allow_hold=True, n_runs=1)
+    comps = build_components(cfg, 0)
+    tracemalloc.start()
+    try:
+        simulate_trajectory(cfg, comps)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20
 
 
 def test_oracle_meets_zero_returns_and_expectations():

@@ -1,10 +1,12 @@
 import io
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from mgmarket import EventModel, HomogeneousCoupling, UniformCoupling, sweep
+from mgmarket import ConfigError, EventModel, HomogeneousCoupling, ModelConfig, UniformCoupling
+from mgmarket import engine, sweep
 from mgmarket.sweep import (
     GRID_COLUMNS,
     SCATTER_COLUMNS,
@@ -250,3 +252,41 @@ def test_std_rho_of_one_run_is_zero_without_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert grid.std_rho.tolist() == [[0.0, 0.0]]
+
+
+def _no_run(*_args):
+    raise AssertionError("a run started")
+
+
+@pytest.mark.parametrize(
+    "config,axes,collect,strengths,message",
+    [(small_config(n_runs=5_592_406), [0.5], False, (None,),
+      "5592406 sweep runs need 1073741952 bytes"),
+     (small_config(n_runs=34, horizon=1_000_000), [0.5], True, (None,),
+      "34 sweep runs need 1088035904 bytes"),
+     # the default events sweep with its samples kept: 441 cells, 50 runs, 4 strengths
+     (ModelConfig(), None, True, sweep.DEFAULT_K_VALUES, "88200 sweep runs need 2915539200 bytes")],
+    ids=["runs", "samples", "default-events-samples"],
+)
+def test_sweep_past_the_budget_is_refused_before_its_task_list(monkeypatch, config, axes,
+                                                               collect, strengths, message):
+    # 192 bytes held per run, and with samples 832 more plus 32 per warm-up or
+    # recorded step; refused before any run, and before a task of the list is made
+    monkeypatch.setattr(engine, "run", _no_run)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match=f"^{message}, over the 1073741824-byte limit$"):
+            sweep._sweep(config, "homogeneous", (axes, axes), 1, collect, strengths)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_largest_sweep_within_the_budget_is_accepted(monkeypatch):
+    # 33 runs of 1 + 1,000,000 steps with samples hold 1,056,034,848 bytes
+    monkeypatch.setattr(sweep, "_cell_task",
+                        lambda task: (0.0, ((np.zeros(1), np.zeros(1)),) * 2))
+    config = small_config(n_runs=33, horizon=1_000_000)
+    grid, = sweep._sweep(config, "homogeneous", ([0.5], [0.5]), 1, True)
+    assert grid.n_runs == 33 and len(grid.samples[0][0]) == 33
