@@ -9,12 +9,11 @@ Step protocol (main loop), using only step t-1 data as inputs:
 3. each agent plays its highest-scoring strategy slot (ties uniform).  A stock
    with one coupling and one or two slots takes the type-row step: its rows are
    the distinct tables held when fewer are possible than agents, else the
-   agents, each scored once; ``tiebreak:j`` is drawn only when a tie can change
-   the demand, and the stream advances by all the draws it skipped in one jump
-   just before the stock's next draw and at the end of the pass.  A state's
-   rows a tie can swing, its all-first-slot demand and each row's swing are
-   built on the pass's first visit to it.  Any other stock takes the per-agent
-   step: a state per agent, and the draw every step;
+   agents; ``tiebreak:j`` is drawn only when a tie can change the demand, and
+   the stream advances by all the draws it skipped in one jump just before the
+   stock's next draw and at the end of the pass.  A state's views are built on
+   the pass's first visit to it, and the latest kept within ``_VIEW_BYTES``.
+   Any other stock takes the per-agent step: a state per agent, a draw a step;
 4. decisions sum to the internal excess demand; an external shock is added
    when the event model is active, read from a list that one
    :func:`mgmarket.market.external_demand` call per stock fills before the loop;
@@ -51,6 +50,9 @@ from .errors import CoefficientOutOfRangeError, ConfigError, NonPositivePriceErr
 from .expectation import sample_couplings
 from .market import MarketState, StockSeries
 from .stats import pearson
+
+# a type-row stock's latest state views fit a 64th of the budget: 8S+9 B a row, ≤704 B a state
+_VIEW_BYTES, _VIEW_ENTRY_BYTES = _MEMORY_BUDGET_BYTES >> 6, 704
 
 
 @dataclass(frozen=True)
@@ -94,9 +96,8 @@ def build_components(config: ModelConfig, run_index: int) -> RunComponents:
 
 
 def _agent_types(tables: np.ndarray, values) -> tuple:
-    """With fewer possible tables over ``values`` than agents, the distinct
-    tables the agents hold, each one's agent count (at least 1) and each
-    agent's row.  Else the agents themselves: count 1 and the identity map."""
+    """With fewer tables possible over ``values`` than agents, the distinct tables held,
+    each one's agent count and each agent's row.  Else the agents: count 1, identity map."""
     n, s, rows = tables.shape
     # |values| >= 2, so the bit length decides first, before the power grows huge
     if s * rows >= n.bit_length() or len(values) ** (s * rows) >= n:
@@ -107,11 +108,10 @@ def _agent_types(tables: np.ndarray, values) -> tuple:
     return held.view(tables.dtype).reshape(-1, s, rows), counts, type_of
 
 
-def _state_views(tables: np.ndarray, counts: np.ndarray, state: int) -> tuple:
-    """One state's (rows, slots) decisions as int64 and as float64, so a step
-    casts nothing; the rows a tie can swing, the all-first-slot demand and
-    each row's swing."""
-    d = np.ascontiguousarray(tables[:, :, state].T, dtype=np.int64)  # slot-major
+def _state_views(at: np.ndarray, counts: np.ndarray, state: int) -> tuple:
+    """One state's (rows, slots) decisions, int8 and float64 (so a score update casts
+    nothing); the rows a tie can swing, the all-first-slot demand, each row's swing."""
+    d = at[state]  # (slots, rows): each slot's column contiguous
     return d.T, d.T.astype(np.float64), d[0] != d[-1], int(counts @ d[0]), counts * (d[-1] - d[0])
 
 
@@ -151,7 +151,9 @@ def simulate_trajectory(
         if s_slots <= 2 and (b == b[0]).all():  # one state per step; views built on first visit
             b = float(b[0])
             tables, counts, type_of = _agent_types(tables, config.decision_set)
-            views = functools.cache(functools.partial(_state_views, tables, counts))
+            at = np.ascontiguousarray(tables.transpose(2, 1, 0))  # state-major, then slot-major
+            kept = _VIEW_BYTES // (len(tables) * (8 * s_slots + 9) + _VIEW_ENTRY_BYTES)
+            views = functools.lru_cache(kept)(functools.partial(_state_views, at, counts))
         k = len(tables)  # slot-major: slot s of row i is entry i + s * k, each column contiguous
         shocks = [0.0] * total_steps  # each step's external demand: the whole pass's in one read
         if shock_amplitudes is not None:
@@ -178,8 +180,8 @@ def simulate_trajectory(
                         # a tie changes the demand: each agent takes its top slot of most jitter
                         rng.bit_generator.advance(owed[j])
                         owed[j] = 0
-                        own_slot = scoring.top_slots(scores.T.take(type_of, 1).T,
-                                                     rng.random((n, s_slots)))
+                        agent_scores = scores if len(scores) == n else scores.T.take(type_of, 1).T
+                        own_slot = scoring.top_slots(agent_scores, rng.random((n, s_slots)))
                         a_int = market.excess_demand(
                             decided.T.reshape(-1)[type_of + own_slot * len(scores)])
                     else:  # skip the draw, and owe its stream the advance

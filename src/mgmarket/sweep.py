@@ -35,6 +35,7 @@ from .config import (
     HomogeneousCoupling,
     ModelConfig,
     UniformCoupling,
+    samples_bytes,
     validate,
 )
 from .errors import ConfigError
@@ -42,10 +43,10 @@ from .seeding import fold_seed
 
 DEFAULT_K_VALUES = (1.0, 2.0, 3.0, 4.0)
 
-# Bytes a sweep holds per run at its peak, as tracemalloc reads it over 10^5 to 10^6
-# runs of one cell: its task and outcome (185); with samples, also their headers and
-# tuples (821) beside two expectation and two return series of 8 bytes per step
-_RUN_BYTES, _SAMPLES_RUN_BYTES = 192, 832
+# Bytes a sweep holds per run at its peak, as tracemalloc reads it over 2*10^4 to 10^6
+# runs of one cell: its task and outcome (184-191); with samples, also their headers
+# and tuples (≈840-870) beside the series that config.samples_bytes counts
+_RUN_BYTES, _SAMPLES_RUN_BYTES = 192, 880
 
 # plane -> (the two coupling fields it sweeps, their default axis)
 EXPERIMENTS = {
@@ -135,8 +136,7 @@ def _sweep(
     n1, n2 = map(len, axes)
     n_runs = base_config.n_runs
     runs = len(shocks) * n1 * n2 * n_runs
-    steps = base_config.warmup_steps + base_config.horizon
-    held = runs * (_RUN_BYTES + collect_samples * (_SAMPLES_RUN_BYTES + 32 * steps))
+    held = runs * (_RUN_BYTES + collect_samples * (_SAMPLES_RUN_BYTES + samples_bytes(base_config)))
     if held > _MEMORY_BUDGET_BYTES:
         raise ConfigError(f"{runs} sweep runs need {held} bytes, over the"
                           f" {_MEMORY_BUDGET_BYTES}-byte limit")

@@ -295,7 +295,7 @@ def test_sweep_runs_past_the_budget_are_refused_before_any_run(monkeypatch, tmp_
     scatter = tmp_path / "s.csv"
     outcome = run_cli("sweep", "--experiment", "events", "--scatter-out", str(scatter))
     assert outcome.exit_code == 1
-    assert outcome.message.startswith("config.validate: 88200 sweep runs need 2915539200 bytes")
+    assert outcome.message.startswith("config.validate: 88200 sweep runs need 2918361600 bytes")
     assert not scatter.exists()
 
 

@@ -334,6 +334,39 @@ def test_one_agent_type_row_builds_views_for_visited_states_only():
     assert peak < 16 << 20
 
 
+def test_type_row_views_stay_within_their_budget_on_a_long_pass():
+    # 1,001 agents at m=12 with holds are each their own type row; 3,000 recorded
+    # steps visit thousands of the 2^13 states, whose views (≈25.7 kB each) would
+    # take ≈53 MB a stock.  Each pass holds a state-major copy of its stock's
+    # tables, as the earlier agent-row step did, and its latest views within
+    # engine._VIEW_BYTES (kept without a bound, the peak read 138.5 MB)
+    cfg = ModelConfig(memory=12, horizon=3_000, allow_hold=True, n_runs=1)
+    comps = build_components(cfg, 0)
+    tracemalloc.start()
+    try:
+        simulate_trajectory(cfg, comps)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    copies = sum(tables.nbytes for tables in comps.tables)
+    assert peak < copies + 2 * engine._VIEW_BYTES + (2 << 20)
+
+
+@pytest.mark.parametrize("overrides", [dict(n_agents=101, memory=3, allow_hold=True),
+                                       dict(n_agents=301, memory=1)],
+                         ids=["identity-rows", "held-tables"])
+def test_evicted_state_views_are_rebuilt_bit_for_bit(monkeypatch, overrides):
+    # with room for no view, every step builds its state's anew: the same run
+    cfg = small_config(horizon=300, **overrides)
+    kept = engine.run(cfg, 0)
+    monkeypatch.setattr(engine, "_VIEW_BYTES", 0)
+    rebuilt = engine.run(cfg, 0)
+    for a, b in zip(kept.market.stocks, rebuilt.market.stocks):
+        for field in fields(StockSeries):
+            np.testing.assert_array_equal(getattr(a, field.name), getattr(b, field.name))
+    assert kept.correlation == rebuilt.correlation
+
+
 def test_oracle_meets_zero_returns_and_expectations():
     # holds make a zero demand, so a zero return and, when both stocks' lags
     # are zero, a zero expectation: both count as plus in the state index

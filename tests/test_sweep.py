@@ -263,15 +263,15 @@ def _no_run(*_args):
     [(small_config(n_runs=5_592_406), [0.5], False, (None,),
       "5592406 sweep runs need 1073741952 bytes"),
      (small_config(n_runs=34, horizon=1_000_000), [0.5], True, (None,),
-      "34 sweep runs need 1088035904 bytes"),
+      "34 sweep runs need 1088036992 bytes"),
      # the default events sweep with its samples kept: 441 cells, 50 runs, 4 strengths
-     (ModelConfig(), None, True, sweep.DEFAULT_K_VALUES, "88200 sweep runs need 2915539200 bytes")],
+     (ModelConfig(), None, True, sweep.DEFAULT_K_VALUES, "88200 sweep runs need 2918361600 bytes")],
     ids=["runs", "samples", "default-events-samples"],
 )
 def test_sweep_past_the_budget_is_refused_before_its_task_list(monkeypatch, config, axes,
                                                                collect, strengths, message):
-    # 192 bytes held per run, and with samples 832 more plus 32 per warm-up or
-    # recorded step; refused before any run, and before a task of the list is made
+    # 192 bytes held per run, and with samples 880 more plus 32 per recorded step and
+    # 16 per warm-up step; refused before any run, and before a task of the list is made
     monkeypatch.setattr(engine, "run", _no_run)
     tracemalloc.start()
     try:
@@ -284,7 +284,7 @@ def test_sweep_past_the_budget_is_refused_before_its_task_list(monkeypatch, conf
 
 
 def test_largest_sweep_within_the_budget_is_accepted(monkeypatch):
-    # 33 runs of 1 + 1,000,000 steps with samples hold 1,056,034,848 bytes
+    # 33 runs of 1 + 1,000,000 steps with samples hold 1,056,035,904 bytes
     monkeypatch.setattr(sweep, "_cell_task",
                         lambda task: (0.0, ((np.zeros(1), np.zeros(1)),) * 2))
     config = small_config(n_runs=33, horizon=1_000_000)
