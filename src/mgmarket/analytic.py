@@ -27,8 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from .config import _MEMORY_BUDGET_BYTES
-from .errors import ConfigError
+from .config import check_master_seed, check_memory, check_positive
 from .seeding import fold_seed
 
 Quadrant = tuple[int, int]
@@ -170,6 +169,7 @@ def brute_force_feasibility(
     s1, s2 = REGIME_SIGNS[regime]
     if not (0 < s1 * b[0] < 1 and 0 < s2 * b[1] < 1):
         raise ValueError(f"b={b} outside open box of regime {regime}")
+    check_positive("n_samples", n_samples)
     _, _, masks = _sample(b, input_quadrant, n_samples, rng)
     return {q: float(np.count_nonzero(m)) / n_samples for q, m in masks.items()}
 
@@ -234,15 +234,13 @@ def verify_appendix(n_samples: int = 1_000_000, master_seed: int = 0) -> Appendi
     declared, condition membership must coincide pointwise with landing in
     the output quadrant; where a trend is declared, the frequency must be
     strictly monotone in the stated direction along a five-point grid
-    approaching the limit.  A seed outside [0, 2^64) and a sample count whose
-    peak passes the memory budget are refused before the first sample.
+    approaching the limit.  A seed ``config.validate`` would refuse, a sample count
+    below 1 and one whose peak, 32 bytes a sample, passes the memory budget are
+    refused before the first sample.
     """
-    if not 0 <= master_seed < 1 << 64:  # as config.validate bounds master_seed
-        raise ConfigError(f"master_seed must lie in [0, 2^64), got {master_seed}")
-    peak = _PEAK_BYTES_PER_SAMPLE * n_samples
-    if peak > _MEMORY_BUDGET_BYTES:
-        raise ConfigError(f"{n_samples} samples need {peak} bytes at their peak,"
-                          f" over the {_MEMORY_BUDGET_BYTES}-byte limit")
+    check_master_seed(master_seed)
+    check_positive("n_samples", n_samples)
+    check_memory(_PEAK_BYTES_PER_SAMPLE * n_samples, f"{n_samples} samples")
     checks: list[CaseCheck] = []
     for regime, input_q in itertools.product(REGIME_SIGNS, QUADRANTS):
         block = {q: classify(regime, input_q, q) for q in QUADRANTS}

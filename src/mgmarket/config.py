@@ -20,8 +20,8 @@ BINARY_DECISIONS = (-1, 1)
 HOLD_DECISIONS = (-1, 0, 1)
 
 _MAX_MEMORY = 20  # 2^(m+1) strategy rows; anything bigger is a config mistake
-# bytes of the largest array an input may ask for: one stock's int64 strategy-table
-# draw, a run's recorded series or the verify-appendix draw; more cannot fit in memory
+# bytes the largest holding an input may ask for: one stock's int64 strategy-table draw,
+# a run's series, a batch's or sweep's kept runs or the verify-appendix peak; see check_memory
 _MEMORY_BUDGET_BYTES = 1 << 30
 DEFAULT_EVENT_PROBABILITY = 0.0082  # the paper's; an event model without one takes it
 
@@ -92,30 +92,37 @@ def samples_bytes(config: ModelConfig) -> int:
     return 16 * config.horizon + 16 * (config.warmup_steps + config.horizon)
 
 
+def check_memory(nbytes: int, what: str) -> None:
+    """Refuse ``what``, which holds ``nbytes`` bytes at once, past the memory budget."""
+    if nbytes > _MEMORY_BUDGET_BYTES:
+        raise ConfigError(f"{what} need {nbytes} bytes, over the {_MEMORY_BUDGET_BYTES}-byte limit")
+
+
+def check_positive(name: str, value: int) -> None:
+    if value <= 0:
+        raise ConfigError(f"{name} must be positive, got {value}")
+
+
+def check_master_seed(seed: int) -> None:
+    if not 0 <= seed < 1 << 64:  # one 64-bit word, as every seed fold_seed derives
+        raise ConfigError(f"master_seed must lie in [0, 2^64), got {seed}")
+
+
 def validate(config: ModelConfig) -> ModelConfig:
     """Check every invariant; return the config unchanged if all hold."""
-    if config.n_agents <= 0:
-        raise ConfigError(f"n_agents must be positive, got {config.n_agents}")
+    check_positive("n_agents", config.n_agents)
     if config.n_agents % 2 == 0:
         raise EvenAgentCountError(f"n_agents must be odd, got {config.n_agents}")
-    if config.memory <= 0:
-        raise ConfigError(f"memory must be positive, got {config.memory}")
+    check_positive("memory", config.memory)
     if config.memory > _MAX_MEMORY:
         raise ConfigError(f"memory {config.memory} exceeds supported maximum {_MAX_MEMORY}")
-    if config.n_strategies <= 0:
-        raise ConfigError(f"n_strategies must be positive, got {config.n_strategies}")
-    table_bytes = 8 * config.n_agents * config.n_strategies * 2 ** (config.memory + 1)
-    if table_bytes > _MEMORY_BUDGET_BYTES:
-        raise ConfigError(
-            f"strategy tables of n_agents={config.n_agents}, n_strategies={config.n_strategies},"
-            f" memory={config.memory} need a {table_bytes}-byte draw per stock,"
-            f" over the {_MEMORY_BUDGET_BYTES}-byte limit"
-        )
+    check_positive("n_strategies", config.n_strategies)
+    check_memory(8 * config.n_agents * config.n_strategies * 2 ** (config.memory + 1),
+                 f"one stock's strategy tables at n_agents={config.n_agents},"
+                 f" n_strategies={config.n_strategies}, memory={config.memory}")
     if config.horizon < 2:  # a return correlation needs two recorded steps
         raise ConfigError(f"horizon must be at least 2, got {config.horizon}")
-    if series_bytes(config) > _MEMORY_BUDGET_BYTES:
-        raise ConfigError(f"horizon={config.horizon} needs {series_bytes(config)} bytes of series"
-                          f" per run, over the {_MEMORY_BUDGET_BYTES}-byte limit")
+    check_memory(series_bytes(config), f"one run's series at horizon={config.horizon}")
     if config.initial_price <= 0:
         raise ConfigError(f"initial_price must be positive, got {config.initial_price}")
     if len(config.a) != 2:
@@ -139,8 +146,7 @@ def validate(config: ModelConfig) -> ModelConfig:
             raise CoefficientOutOfRangeError(
                 f"event strength must be non-negative, got {config.events.strength}"
             )
-    if config.n_runs <= 0:
-        raise ConfigError(f"n_runs must be positive, got {config.n_runs}")
+    check_positive("n_runs", config.n_runs)
     # the config format is the one type rule: each value must read back from its line
     for (key, value), line in zip(_items(config), to_text(config).splitlines()):
         if _KEYS[key] is float and not math.isfinite(value):
@@ -151,8 +157,7 @@ def validate(config: ModelConfig) -> ModelConfig:
             read_back = False
         if not read_back:
             raise ConfigError(f"{key} = {value!r} does not read back from its config text")
-    if not 0 <= config.master_seed < 1 << 64:  # one 64-bit word, as every seed fold_seed derives
-        raise ConfigError(f"master_seed must lie in [0, 2^64), got {config.master_seed}")
+    check_master_seed(config.master_seed)
     if isinstance(config.coupling, UniformCoupling):
         for j, c, d in ((1, config.coupling.c1, config.coupling.delta1),
                         (2, config.coupling.c2, config.coupling.delta2)):

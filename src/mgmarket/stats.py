@@ -90,7 +90,7 @@ def ar1_pooled(series_list: Sequence[np.ndarray]) -> Ar1Report:
     transitions between them.
     """
     runs = [np.asarray(series, dtype=float) for series in series_list]
-    if any(r.ndim != 1 or len(r) < 3 for r in runs):
+    if not runs or any(r.ndim != 1 or len(r) < 3 for r in runs):
         raise DegenerateSeriesError("need at least three points")
     report = ols(np.concatenate([r[:-1] for r in runs]), np.concatenate([r[1:] for r in runs]))
     return Ar1Report(phi=report.beta1, n=report.n)

@@ -28,17 +28,16 @@ import numpy as np
 
 from . import engine
 from .config import (
-    _MEMORY_BUDGET_BYTES,
     DEFAULT_EVENT_PROBABILITY,
     Coupling,
     EventModel,
     HomogeneousCoupling,
     ModelConfig,
     UniformCoupling,
+    check_memory,
     samples_bytes,
     validate,
 )
-from .errors import ConfigError
 from .seeding import fold_seed
 
 DEFAULT_K_VALUES = (1.0, 2.0, 3.0, 4.0)
@@ -117,11 +116,11 @@ def _sweep(
     on a homogeneous or the base's uniform coupling, seeded by :func:`cell_seed`,
     so a cell's runs under each strength are paired.  A strength shocks at the
     base's event probability, or the paper's without an event model; None runs
-    unshocked.  A sweep whose runs, held until its grids are built, pass the
-    memory budget is refused before its task list is built.  Every cell config is
-    validated as the one task list is built, so a bad one is refused before the
-    first run; one :func:`engine.pool_map` call runs the list.  Returns one grid
-    per strength.
+    unshocked.  A sweep whose held runs (``_RUN_BYTES`` each, and with samples
+    ``_SAMPLES_RUN_BYTES`` plus their series) pass the memory budget is refused
+    before its task list is built.  Every cell config is validated as the one
+    task list is built, so a bad one is refused before the first run; one
+    :func:`engine.pool_map` call runs the list.  Returns one grid per strength.
     """
     validate(base_config)
     probability = float(getattr(base_config.events, "probability", DEFAULT_EVENT_PROBABILITY))
@@ -137,9 +136,7 @@ def _sweep(
     n_runs = base_config.n_runs
     runs = len(shocks) * n1 * n2 * n_runs
     held = runs * (_RUN_BYTES + collect_samples * (_SAMPLES_RUN_BYTES + samples_bytes(base_config)))
-    if held > _MEMORY_BUDGET_BYTES:
-        raise ConfigError(f"{runs} sweep runs need {held} bytes, over the"
-                          f" {_MEMORY_BUDGET_BYTES}-byte limit")
+    check_memory(held, f"{runs} sweep runs")
     t0 = time.monotonic()
     tasks = []
     for events in shocks:

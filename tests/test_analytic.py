@@ -206,11 +206,25 @@ def _no_sample(*_args):
 def test_verify_appendix_refuses_samples_past_the_budget_before_sampling(monkeypatch):
     # 32 bytes per sample at the peak, so 33,554,432 samples fill 1 GiB exactly
     monkeypatch.setattr(analytic, "_sample", _no_sample)
-    message = "^33554433 samples need 1073741856 bytes at their peak, over the 1073741824-byte limit$"
+    message = "^33554433 samples need 1073741856 bytes, over the 1073741824-byte limit$"
     with pytest.raises(ConfigError, match=message):
         verify_appendix(n_samples=33_554_433)
     with pytest.raises(AssertionError, match="sampled"):  # accepted: it goes on to sample
         verify_appendix(n_samples=33_554_432)
+
+
+@pytest.mark.parametrize("n", [0, -3], ids=["zero", "negative"])
+def test_verify_appendix_refuses_a_sample_count_below_one_before_sampling(monkeypatch, n):
+    monkeypatch.setattr(analytic, "_sample", _no_sample)
+    with pytest.raises(ConfigError, match=f"^n_samples must be positive, got {n}$"):
+        verify_appendix(n_samples=n)
+
+
+@pytest.mark.parametrize("n", [0, -3], ids=["zero", "negative"])
+def test_brute_force_refuses_a_sample_count_below_one_before_sampling(monkeypatch, n):
+    monkeypatch.setattr(analytic, "_sample", _no_sample)
+    with pytest.raises(ConfigError, match=f"^n_samples must be positive, got {n}$"):
+        brute_force_feasibility("I", (0.5, 0.5), (1, 1), n, np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64], ids=["negative", "two-to-the-64"])

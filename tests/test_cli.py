@@ -225,11 +225,14 @@ def test_seed_outside_64_bits_is_usage_error(monkeypatch, verb, seed):
          "config.validate: couplings summed over 101 agents overflow"),
         # series or a sample draw past the memory budget, refused before allocating
         (["simulate", "--horizon", "1000000000000000000", "--runs", "1"],
-         "config.validate: horizon=1000000000000000000 needs 80000000000000000080 bytes"),
+         "config.validate: one run's series at horizon=1000000000000000000 need"
+         " 80000000000000000080 bytes, over the 1073741824-byte limit\n"),
         (["simulate", "--horizon", "4611686018427387904", "--runs", "1"],
-         "config.validate: horizon=4611686018427387904 needs"),
+         "config.validate: one run's series at horizon=4611686018427387904 need"
+         " 368934881474191032400 bytes, over the 1073741824-byte limit\n"),
         (["verify-appendix", "--samples", "100000000000"],
-         "config.validate: 100000000000 samples need 3200000000000 bytes at their peak"),
+         "config.validate: 100000000000 samples need 3200000000000 bytes,"
+         " over the 1073741824-byte limit\n"),
     ],
     ids=["coupling-sum", "axis-rounding", "drawn-coupling-sum", "horizon-huge", "horizon-2-62",
          "samples-huge"],
@@ -270,16 +273,31 @@ def test_runs_whose_series_exceed_the_budget_are_refused_before_any_run(monkeypa
         raise AssertionError("a run started")
 
     monkeypatch.setattr(engine, "run", no_run)
-    outcome = run_cli("simulate", "--runs", "13409", "--threads", "1")
+    # 80,080 bytes of series and 1,700 of objects per run at the defaults
+    outcome = run_cli("simulate", "--runs", "13130", "--threads", "1")
     assert outcome.exit_code == 1
-    assert outcome.message == ("config.validate: 13409 runs need 1073792720 bytes of series,"
+    assert outcome.message == ("config.validate: 13130 kept runs need 1073771400 bytes,"
                                " over the 1073741824-byte limit")
 
 
 def test_largest_run_count_within_the_budget_is_accepted(monkeypatch):
     monkeypatch.setattr(engine, "run", lambda config, index: engine.RunResult(None, 0.0, index))
-    outcome = run_cli("simulate", "--runs", "13408", "--threads", "1")
+    outcome = run_cli("simulate", "--runs", "13129", "--threads", "1")
     assert outcome.exit_code == 0
+
+
+def test_short_runs_are_refused_by_the_objects_each_keeps(monkeypatch):
+    # 240 bytes of series per run at N=1, T=2, but 1,700 more of objects around them:
+    # the series alone would fit 4,473,924 runs in the budget
+    def no_run(*_args):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(engine, "run", no_run)
+    outcome = run_cli("simulate", "--n-agents", "1", "--horizon", "2", "--runs", "4473924",
+                      "--threads", "1")
+    assert outcome.exit_code == 1
+    assert outcome.message == ("config.validate: 4473924 kept runs need 8679412560 bytes,"
+                               " over the 1073741824-byte limit")
 
 
 def test_sweep_runs_past_the_budget_are_refused_before_any_run(monkeypatch, tmp_path):

@@ -18,6 +18,7 @@ from mgmarket import (
     to_text,
     validate,
 )
+from mgmarket import analytic, config, engine, sweep
 from mgmarket.config import from_items, parse_items
 
 from conftest import small_config
@@ -266,7 +267,9 @@ def test_strategy_tables_over_memory_budget_rejected_without_allocating():
     # 8 * 1001 * 2 * 2^21 bytes (about 33.6 GB) per stock
     tracemalloc.start()
     try:
-        with pytest.raises(ConfigError, match="33587986432-byte draw"):
+        with pytest.raises(ConfigError, match="^one stock's strategy tables at n_agents=1001,"
+                           " n_strategies=2, memory=20 need 33587986432 bytes,"
+                           " over the 1073741824-byte limit$"):
             validate(ModelConfig(memory=20))
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -278,7 +281,9 @@ def test_memory_budget_is_inclusive():
     # 8 bytes * 1 agent * 128 slots * 2^20 rows is exactly 1 GiB
     at_limit = ModelConfig(n_agents=1, n_strategies=128, memory=19)
     assert validate(at_limit) is at_limit
-    with pytest.raises(ConfigError, match="1082130432-byte draw"):
+    with pytest.raises(ConfigError, match="^one stock's strategy tables at n_agents=1,"
+                       " n_strategies=129, memory=19 need 1082130432 bytes,"
+                       " over the 1073741824-byte limit$"):
         validate(ModelConfig(n_agents=1, n_strategies=129, memory=19))
 
 
@@ -289,12 +294,39 @@ def test_series_budget_is_inclusive_and_allocates_nothing():
     try:
         at_limit = ModelConfig(horizon=13_421_771)
         assert validate(at_limit) is at_limit
-        with pytest.raises(ConfigError, match="needs 1073741840 bytes of series per run"):
+        with pytest.raises(ConfigError, match="^one run's series at horizon=13421772"
+                           " need 1073741840 bytes, over the 1073741824-byte limit$"):
             validate(ModelConfig(horizon=13_421_772))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def _never(*_args):
+    raise AssertionError("refused too late")
+
+
+@pytest.mark.parametrize(
+    "refused,message",
+    [(lambda: validate(ModelConfig(n_agents=101, memory=3)),
+      "one stock's strategy tables at n_agents=101, n_strategies=2, memory=3 need 25856 bytes"),
+     (lambda: validate(ModelConfig(n_agents=1, horizon=200)),
+      "one run's series at horizon=200 need 16080 bytes"),
+     (lambda: engine.run_many(ModelConfig(n_agents=1, horizon=2, n_runs=10), threads=1),
+      "10 kept runs need 19400 bytes"),
+     (lambda: sweep._sweep(ModelConfig(n_agents=1, horizon=2, n_runs=60), "homogeneous",
+                           ([0.5], [0.5]), 1, False),
+      "60 sweep runs need 11520 bytes"),
+     (lambda: analytic.verify_appendix(n_samples=400), "400 samples need 12800 bytes")],
+    ids=["strategy-tables", "series", "run-many", "sweep", "verify-appendix"],
+)
+def test_every_size_refusal_follows_the_one_memory_budget(monkeypatch, refused, message):
+    monkeypatch.setattr(config, "_MEMORY_BUDGET_BYTES", 10_000)
+    monkeypatch.setattr(engine, "run", _never)
+    monkeypatch.setattr(analytic, "_sample", _never)
+    with pytest.raises(ConfigError, match=f"^{message}, over the 10000-byte limit$"):
+        refused()
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))

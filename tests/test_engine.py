@@ -471,17 +471,18 @@ def _no_run(*_args):
 
 
 def test_run_many_refuses_series_past_the_budget_before_any_run(monkeypatch):
-    # 80 bytes per warm-up or recorded step and run: 13,409 runs of 1 + 1,000
-    # steps need 1,073,792,720 bytes, past 1 GiB
+    # 80 bytes per warm-up or recorded step and 1,700 of objects per run: 13,130 runs
+    # of 1 + 1,000 steps need 1,073,771,400 bytes, past 1 GiB
     monkeypatch.setattr(engine, "run", _no_run)
-    with pytest.raises(ConfigError, match="13409 runs need 1073792720 bytes of series"):
-        run_many(ModelConfig(n_runs=13_409), threads=1)
+    with pytest.raises(ConfigError, match="^13130 kept runs need 1073771400 bytes,"
+                                          " over the 1073741824-byte limit$"):
+        run_many(ModelConfig(n_runs=13_130), threads=1)
 
 
 def test_run_many_accepts_the_largest_batch_within_the_budget(monkeypatch):
     monkeypatch.setattr(engine, "run", lambda config, index: engine.RunResult(None, 0.0, index))
-    batch = run_many(ModelConfig(n_runs=13_408), threads=1)
-    assert [r.run_index for r in batch.runs] == list(range(13_408))
+    batch = run_many(ModelConfig(n_runs=13_129), threads=1)
+    assert [r.run_index for r in batch.runs] == list(range(13_129))
 
 
 def test_nonpositive_price_aborts_with_context():

@@ -133,6 +133,11 @@ def test_ar1_refuses_constant_and_too_short_series():
     assert ar1_pooled([[0.01, -0.02, 0.03, -0.01]]).n == 3
 
 
+def test_ar1_pooled_refuses_an_empty_list():
+    with pytest.raises(DegenerateSeriesError, match="^need at least three points$"):
+        ar1_pooled([])
+
+
 def test_ar1_pooled_refuses_one_too_short_series_among_long_ones():
     # the ten pooled lag pairs alone would pass ols
     with pytest.raises(DegenerateSeriesError, match="^need at least three points$"):
