@@ -86,12 +86,6 @@ def series_bytes(config: ModelConfig) -> int:
     return 80 * (config.warmup_steps + config.horizon)
 
 
-def samples_bytes(config: ModelConfig) -> int:
-    """Bytes of one run's kept samples: per stock, an 8-byte mean expectation per
-    recorded step and the 8-byte returns they view, warm-up steps included."""
-    return 16 * config.horizon + 16 * (config.warmup_steps + config.horizon)
-
-
 def check_memory(nbytes: int, what: str) -> None:
     """Refuse ``what``, which holds ``nbytes`` bytes at once, past the memory budget."""
     if nbytes > _MEMORY_BUDGET_BYTES:

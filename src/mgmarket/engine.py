@@ -56,6 +56,8 @@ _VIEW_BYTES, _VIEW_ENTRY_BYTES = _MEMORY_BUDGET_BYTES >> 6, 704
 # bytes a batch keeps per run beside its series: the RunResult, MarketState, StockSeries and
 # array headers; tracemalloc read 1,619-1,686 over 2*10^4 runs at N=1 and 11, T=2 and 50
 _RESULT_BYTES = 1_700
+# tasks a pool worker takes at once: the bound on the tasks and results in flight
+_CHUNK_TASKS = 64
 
 
 @dataclass(frozen=True)
@@ -263,21 +265,33 @@ class BatchResult:
     mean_correlation: float
 
 
-def pool_map(fn, tasks: list, threads: int | None) -> list:
-    """``[fn(task) for task in tasks]``, spread over ``threads`` worker
-    processes, at most one per task and per CPU, when that is more than one.
-
-    Results keep the order of ``tasks``.  Each worker takes about eight
-    chunks, so short tasks do not pay one round trip each.  The pool forks
-    all its workers at the first task, so the cap bounds the processes started.
-    """
-    workers = min(threads or 1, len(tasks), os.cpu_count() or 1)
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor  # a serial map need not import it
-        chunk = max(1, len(tasks) // (workers * 8))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, tasks, chunksize=chunk))
+def _run_chunk(fn, tasks: list) -> list:
     return [fn(task) for task in tasks]
+
+
+def pool_map(fn, tasks, count: int, threads: int | None):
+    """Yield ``fn(task)`` for each of the ``count`` ``tasks`` in order, over ``threads``
+    worker processes, at most one per task and per CPU the process may run on, if more
+    than one: each takes about eight chunks of at most ``_CHUNK_TASKS`` tasks, with two
+    a worker in flight.  A task that raises cancels the chunks not yet started."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(threads or 1, count, cpus or 1)
+    if workers <= 1:
+        yield from map(fn, tasks)
+        return
+    from concurrent.futures import ProcessPoolExecutor  # a serial map need not import it
+    from itertools import islice
+    chunk, tasks = min(_CHUNK_TASKS, max(1, count // (workers * 8))), iter(tasks)
+    parts = iter(lambda: list(islice(tasks, chunk)), [])  # drawn as the window moves on
+    pool = ProcessPoolExecutor(max_workers=workers)
+    try:
+        window = [pool.submit(_run_chunk, fn, part) for part in islice(parts, 2 * workers)]
+        while window:
+            done = window.pop(0).result()
+            window += [pool.submit(_run_chunk, fn, part) for part in islice(parts, 1)]
+            yield from done
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def run_many(config: ModelConfig, threads: int | None = None) -> BatchResult:
@@ -290,7 +304,8 @@ def run_many(config: ModelConfig, threads: int | None = None) -> BatchResult:
     validate(config)
     check_memory(config.n_runs * (_RESULT_BYTES + series_bytes(config)),
                  f"{config.n_runs} kept runs")
-    results = pool_map(functools.partial(run, config), list(range(config.n_runs)), threads)
+    runs = range(config.n_runs)
+    results = list(pool_map(functools.partial(run, config), runs, len(runs), threads))
     mean_rho = float(np.mean([r.correlation for r in results]))
     return BatchResult(runs=results, mean_correlation=mean_rho)
 

@@ -35,17 +35,11 @@ from .config import (
     ModelConfig,
     UniformCoupling,
     check_memory,
-    samples_bytes,
     validate,
 )
 from .seeding import fold_seed
 
 DEFAULT_K_VALUES = (1.0, 2.0, 3.0, 4.0)
-
-# Bytes a sweep holds per run at its peak, as tracemalloc reads it over 2*10^4 to 10^6
-# runs of one cell: its task and outcome (184-191); with samples, also their headers
-# and tuples (≈840-870) beside the series that config.samples_bytes counts
-_RUN_BYTES, _SAMPLES_RUN_BYTES = 192, 880
 
 # plane -> (the two coupling fields it sweeps, their default axis)
 EXPERIMENTS = {
@@ -61,16 +55,14 @@ def cell_seed(master_seed: int, coupling: Coupling) -> int:
     return fold_seed(master_seed, f"cell:{kind}", astuple(coupling))
 
 
-RunSamples = tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
-
-
 @dataclass
 class SweepGrid:
     axes: tuple[np.ndarray, np.ndarray]
     rho_runs: np.ndarray  # (n1, n2, n_runs)
     elapsed_seconds: float
     event_strength: Optional[float] = None
-    samples: Optional[list[list[list[RunSamples]]]] = field(default=None, repr=False)
+    # rows of an (n1, n2, n_runs, stock, expected|return, step) array: [i1][i2][run][stock]
+    samples: Optional[list[np.ndarray]] = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.rho_runs.shape[:2] != tuple(map(len, self.axes)):
@@ -93,13 +85,10 @@ class SweepGrid:
         return self.rho_runs.shape[2]
 
 
-def _cell_task(args) -> tuple[float, Optional[RunSamples]]:
+def _cell_task(args) -> tuple[float, Optional[tuple]]:  # rho, and each stock's samples
     config, run_index, want_samples = args
     result = engine.run(config, run_index)
-    samples = None
-    if want_samples:
-        samples = (result.samples(0), result.samples(1))
-    return result.correlation, samples
+    return result.correlation, (result.samples(0), result.samples(1)) if want_samples else None
 
 
 def _sweep(
@@ -116,11 +105,9 @@ def _sweep(
     on a homogeneous or the base's uniform coupling, seeded by :func:`cell_seed`,
     so a cell's runs under each strength are paired.  A strength shocks at the
     base's event probability, or the paper's without an event model; None runs
-    unshocked.  A sweep whose held runs (``_RUN_BYTES`` each, and with samples
-    ``_SAMPLES_RUN_BYTES`` plus their series) pass the memory budget is refused
-    before its task list is built.  Every cell config is validated as the one
-    task list is built, so a bad one is refused before the first run; one
-    :func:`engine.pool_map` call runs the list.  Returns one grid per strength.
+    unshocked.  A sweep whose arrays pass the memory budget is refused first, and a
+    bad cell before the first run; the cells are rebuilt as :func:`engine.pool_map`
+    draws their tasks, and each result fills the arrays.  One grid per strength.
     """
     validate(base_config)
     probability = float(getattr(base_config.events, "probability", DEFAULT_EVENT_PROBABILITY))
@@ -132,31 +119,34 @@ def _sweep(
     elif not isinstance(template, UniformCoupling):
         raise ValueError(f"{plane} sweep requires a uniform coupling template")
     axes = tuple(np.asarray(default if v is None else v, dtype=float) for v in values)
-    n1, n2 = map(len, axes)
-    n_runs = base_config.n_runs
-    runs = len(shocks) * n1 * n2 * n_runs
-    held = runs * (_RUN_BYTES + collect_samples * (_SAMPLES_RUN_BYTES + samples_bytes(base_config)))
-    check_memory(held, f"{runs} sweep runs")
-    t0 = time.monotonic()
-    tasks = []
-    for events in shocks:
-        for v1 in axes[0]:
-            for v2 in axes[1]:
-                coupling = replace(template, **{fields[0]: float(v1), fields[1]: float(v2)})
-                seed = cell_seed(base_config.master_seed, coupling)
-                cell = validate(replace(base_config, coupling=coupling, events=events,
-                                        master_seed=seed))
-                tasks += [(cell, run, collect_samples) for run in range(n_runs)]
-    outcomes = engine.pool_map(_cell_task, tasks, threads)
-    elapsed = time.monotonic() - t0
+    shape = (len(shocks), len(axes[0]), len(axes[1]), base_config.n_runs)
+    runs = (cells := shape[0] * shape[1] * shape[2]) * shape[3]
+    # float64s: a rho per run, with samples 2 series of 2 stocks, and a cell's mean and std
+    per_run = 1 + 4 * base_config.horizon * collect_samples
+    check_memory(8 * (runs * per_run + 2 * cells), f"{runs} sweep runs")
 
-    # tasks run in (shock, cell row, cell column, run) order
-    rho = np.array([v for v, _ in outcomes], dtype=float).reshape(len(shocks), n1, n2, n_runs)
-    runs = (run_samples for _, run_samples in outcomes)
+    def cell_configs():  # in (shock, cell row, cell column) order, built anew on each pass
+        for events in shocks:
+            for v1 in axes[0]:
+                for v2 in axes[1]:
+                    coupling = replace(template, **{fields[0]: float(v1), fields[1]: float(v2)})
+                    yield replace(base_config, coupling=coupling, events=events,
+                                  master_seed=cell_seed(base_config.master_seed, coupling))
+
+    t0 = time.monotonic()
+    for cell in cell_configs():
+        validate(cell)
+    rho = np.empty(shape)
+    samples = np.empty((*shape, 2, 2, base_config.horizon)) if collect_samples else None
+    tasks = ((cell, run, collect_samples) for cell in cell_configs() for run in range(shape[3]))
+    for i, (value, run_samples) in enumerate(engine.pool_map(_cell_task, tasks, runs, threads)):
+        rho.flat[i] = value
+        if run_samples is not None:
+            samples.reshape(runs, 2, 2, -1)[i] = run_samples
+    elapsed = time.monotonic() - t0
     return [
         SweepGrid(axes, rho[k], elapsed, None if events is None else events.strength,
-                  [[[next(runs) for _ in range(n_runs)] for _ in range(n2)] for _ in range(n1)]
-                  if collect_samples else None)
+                  None if samples is None else list(samples[k]))
         for k, events in enumerate(shocks)
     ]
 

@@ -14,21 +14,23 @@ def rng():
 @pytest.fixture
 def pool_workers(monkeypatch):
     """The ``max_workers`` of every process pool built, in order; each pool
-    maps in this process, so no worker process starts."""
+    runs a submitted call in this process at once, so no worker process starts."""
     built = []
 
     class RecordingPool:
         def __init__(self, max_workers):
             built.append(max_workers)
 
-        def __enter__(self):
-            return self
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            try:
+                future.set_result(fn(*args))
+            except Exception as exc:
+                future.set_exception(exc)
+            return future
 
-        def __exit__(self, *_exc):
-            return False
-
-        def map(self, fn, tasks, chunksize=1):
-            return map(fn, tasks)
+        def shutdown(self, wait=True, cancel_futures=False):
+            pass
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     return built

@@ -315,9 +315,9 @@ def _never(*_args):
       "one run's series at horizon=200 need 16080 bytes"),
      (lambda: engine.run_many(ModelConfig(n_agents=1, horizon=2, n_runs=10), threads=1),
       "10 kept runs need 19400 bytes"),
-     (lambda: sweep._sweep(ModelConfig(n_agents=1, horizon=2, n_runs=60), "homogeneous",
+     (lambda: sweep._sweep(ModelConfig(n_agents=1, horizon=2, n_runs=1249), "homogeneous",
                            ([0.5], [0.5]), 1, False),
-      "60 sweep runs need 11520 bytes"),
+      "1249 sweep runs need 10008 bytes"),
      (lambda: analytic.verify_appendix(n_samples=400), "400 samples need 12800 bytes")],
     ids=["strategy-tables", "series", "run-many", "sweep", "verify-appendix"],
 )

@@ -453,17 +453,62 @@ def test_run_many_parallel_matches_serial():
     assert correlations(serial) == correlations(parallel)
 
 
-def test_pool_map_starts_at_most_one_worker_per_task_and_cpu(pool_workers):
-    assert engine.pool_map(abs, [-1, -2, -3], 10**6) == [1, 2, 3]
-    workers = min(3, os.cpu_count() or 1)
-    assert pool_workers == ([workers] if workers > 1 else [])
+def _cpus(monkeypatch, n):
+    """Let this process run on ``n`` CPUs, as its affinity mask reads."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: set(range(n)), raising=False)
+
+
+def test_pool_map_starts_at_most_one_worker_per_task_and_cpu(pool_workers, monkeypatch):
+    for cpus in (2, 8):
+        _cpus(monkeypatch, cpus)
+        assert list(engine.pool_map(abs, iter([-1, -2, -3]), 3, 10**6)) == [1, 2, 3]
+    assert pool_workers == [2, 3]
 
 
 @pytest.mark.parametrize("threads,tasks", [(None, [-1, -2]), (1, [-1, -2]), (10**6, [-1])],
                          ids=["threads-none", "threads-1", "one-task"])
-def test_pool_map_runs_serially_without_a_pool(pool_workers, threads, tasks):
-    assert engine.pool_map(abs, tasks, threads) == [-t for t in tasks]
+def test_pool_map_runs_serially_without_a_pool(pool_workers, monkeypatch, threads, tasks):
+    _cpus(monkeypatch, 8)
+    assert list(engine.pool_map(abs, tasks, len(tasks), threads)) == [-t for t in tasks]
     assert pool_workers == []
+
+
+def test_pool_map_counts_the_cpus_the_process_may_run_on(pool_workers, monkeypatch):
+    # pinned to one of four CPUs, as by `taskset -c 0`: two workers would share one CPU
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    _cpus(monkeypatch, 1)
+    assert list(engine.pool_map(abs, [-1, -2], 2, 2)) == [1, 2]
+    assert pool_workers == []
+    # where the mask cannot be read, every CPU counts
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert list(engine.pool_map(abs, [-1, -2], 2, 2)) == [1, 2]
+    assert pool_workers == [2]
+
+
+def test_pool_map_draws_a_window_of_chunks_not_every_task(pool_workers, monkeypatch):
+    _cpus(monkeypatch, 2)
+    drawn = []
+    tasks = (drawn.append(t) or t for t in range(10**6))
+    results = engine.pool_map(abs, tasks, 10**6, 2)
+    assert next(results) == 0
+    # the pool's four chunks, and the one drawn as the first result is handed out
+    assert 0 < len(drawn) <= (2 * 2 + 1) * engine._CHUNK_TASKS
+    results.close()
+
+
+def test_pool_map_starts_no_chunk_past_the_window_once_a_task_raises(pool_workers, monkeypatch):
+    _cpus(monkeypatch, 2)
+    started = []
+
+    def first_raises(task):
+        started.append(task)
+        if task == 0:
+            raise ValueError("task 0 failed")
+        return task
+
+    with pytest.raises(ValueError, match="task 0 failed"):
+        list(engine.pool_map(first_raises, iter(range(10**6)), 10**6, 2))
+    assert 0 < len(started) <= (2 * 2 + 1) * engine._CHUNK_TASKS
 
 
 def _no_run(*_args):

@@ -1,11 +1,13 @@
 import io
 import tracemalloc
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from mgmarket import ConfigError, EventModel, HomogeneousCoupling, ModelConfig, UniformCoupling
+from mgmarket import (ConfigError, EventModel, HomogeneousCoupling, ModelConfig,
+                      NonPositivePriceError, UniformCoupling)
 from mgmarket import engine, sweep
 from mgmarket.sweep import (
     GRID_COLUMNS,
@@ -176,7 +178,9 @@ def test_scatter_run_ids_are_cell_major():
     assert [run_id for run_id, _ in runs] == list(range(8))
     for run_id, samples in runs:
         i1, i2, run = expected[run_id]
-        assert samples is grid.samples[i1][i2][run]
+        # a view of the grid's one samples array, not a copy
+        cell_run = grid.samples[i1][i2][run]
+        assert np.shares_memory(samples, cell_run) and np.array_equal(samples, cell_run)
 
     buf = io.StringIO()
     write_scatter(runs, buf)
@@ -260,18 +264,18 @@ def _no_run(*_args):
 
 @pytest.mark.parametrize(
     "config,axes,collect,strengths,message",
-    [(small_config(n_runs=5_592_406), [0.5], False, (None,),
-      "5592406 sweep runs need 1073741952 bytes"),
+    [(small_config(n_runs=134_217_727), [0.5], False, (None,),
+      "134217727 sweep runs need 1073741832 bytes"),
      (small_config(n_runs=34, horizon=1_000_000), [0.5], True, (None,),
-      "34 sweep runs need 1088036992 bytes"),
+      "34 sweep runs need 1088000288 bytes"),
      # the default events sweep with its samples kept: 441 cells, 50 runs, 4 strengths
-     (ModelConfig(), None, True, sweep.DEFAULT_K_VALUES, "88200 sweep runs need 2918361600 bytes")],
+     (ModelConfig(), None, True, sweep.DEFAULT_K_VALUES, "88200 sweep runs need 2823133824 bytes")],
     ids=["runs", "samples", "default-events-samples"],
 )
 def test_sweep_past_the_budget_is_refused_before_its_task_list(monkeypatch, config, axes,
                                                                collect, strengths, message):
-    # 192 bytes held per run, and with samples 880 more plus 32 per recorded step and
-    # 16 per warm-up step; refused before any run, and before a task of the list is made
+    # 8 bytes a run for its rho, with samples 32 more per recorded step, and 16 a cell for
+    # its mean and std; refused before any run, and before a cell is built
     monkeypatch.setattr(engine, "run", _no_run)
     tracemalloc.start()
     try:
@@ -284,9 +288,46 @@ def test_sweep_past_the_budget_is_refused_before_its_task_list(monkeypatch, conf
 
 
 def test_largest_sweep_within_the_budget_is_accepted(monkeypatch):
-    # 33 runs of 1 + 1,000,000 steps with samples hold 1,056,035,904 bytes
-    monkeypatch.setattr(sweep, "_cell_task",
-                        lambda task: (0.0, ((np.zeros(1), np.zeros(1)),) * 2))
+    # 33 runs of 1,000,000 recorded steps with samples hold 1,056,000,280 bytes; the
+    # stub hands back no series, so the samples array is allocated but never written
+    monkeypatch.setattr(sweep, "_cell_task", lambda task: (0.0, None))
     config = small_config(n_runs=33, horizon=1_000_000)
     grid, = sweep._sweep(config, "homogeneous", ([0.5], [0.5]), 1, True)
-    assert grid.n_runs == 33 and len(grid.samples[0][0]) == 33
+    assert grid.n_runs == 33 and grid.samples[0][0].shape == (33, 2, 2, 1_000_000)
+
+
+def test_sweep_abort_is_the_same_error_serial_and_pooled():
+    errors = []
+    for threads in (1, 2):
+        with pytest.raises(NonPositivePriceError) as err:
+            sweep_homogeneous(tiny(initial_price=1.0), [0.5, -0.5], [0.5], threads=threads)
+        errors.append(err.value)
+    serial, pooled = errors
+    assert str(pooled) == str(serial)
+    assert (pooled.price, pooled.stock, pooled.step) == (serial.price, serial.stock, serial.step)
+
+
+@pytest.mark.parametrize("collect", [False, True], ids=["rho", "samples"])
+@pytest.mark.parametrize("one_run_cells", [False, True], ids=["one-cell", "one-run-cells"])
+def test_sweep_holds_no_more_than_its_memory_rule_counts(monkeypatch, one_run_cells, collect):
+    # each run is stubbed, fresh series and all, so what a sweep holds is all that is
+    # traced: from 1,000 to 10,000 runs its peak grows by at most what the rule's count grows
+    result = SimpleNamespace(correlation=0.0, samples=lambda _stock: (np.zeros(50), np.zeros(50)))
+    monkeypatch.setattr(engine, "run", lambda _config, _index: result)
+    counted = []
+    monkeypatch.setattr(sweep, "check_memory", lambda nbytes, _what: counted.append(nbytes))
+    shapes = [(25, 40, 1), (100, 100, 1)] if one_run_cells else [(1, 1, 1_000), (1, 1, 10_000)]
+    peaks = []
+    for n1, n2, runs in shapes[:1] + shapes:  # the first pass warms what a sweep fills once
+        axes = (np.linspace(-1.0, 1.0, n1), np.linspace(-1.0, 1.0, n2))
+        config = small_config(n_runs=runs, horizon=50)
+        tracemalloc.start()
+        try:
+            grids = sweep._sweep(config, "homogeneous", axes, 1, collect)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert grids[0].rho_runs.shape == (n1, n2, runs)
+        del grids
+        peaks.append(peak)
+    assert peaks[2] - peaks[1] <= counted[2] - counted[1] + (64 << 10)
