@@ -19,7 +19,7 @@ from .config import (
     to_text,
     validate,
 )
-from .engine import BatchResult, RunResult, run, run_many
+from .engine import RunResult, run, run_many
 from .errors import (
     CoefficientOutOfRangeError,
     ConfigError,
@@ -44,7 +44,6 @@ from .sweep import (
 
 __all__ = [
     "Ar1Report",
-    "BatchResult",
     "CoefficientOutOfRangeError",
     "ConfigError",
     "DegenerateSeriesError",

@@ -22,7 +22,7 @@ import os
 import sys
 import tempfile
 from array import array
-from collections import defaultdict
+from collections import defaultdict, deque
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, replace
 
@@ -37,9 +37,11 @@ from .config import (
     ModelConfig,
     UniformCoupling,
     _items,
+    check_memory,
     config_digest,
     from_items,
     parse_items,
+    series_bytes,
 )
 from .errors import ConfigError, DegenerateSeriesError, NonPositivePriceError
 
@@ -177,23 +179,23 @@ def _resolve_config(args) -> tuple[ModelConfig, dict]:
     return from_items(items), overrides
 
 
-def _write_summary(fh, config, overrides, batch) -> None:
+def _write_summary(fh, config, overrides, rho) -> None:
     record = {
         "config": dict(_items(config)),
         "config_digest": config_digest(config),
         "overrides": overrides,
         "master_seed": config.master_seed,
-        "mean_correlation": batch.mean_correlation,
-        "runs": [
-            {"run_index": r.run_index, "correlation": r.correlation} for r in batch.runs
-        ],
-        "metadata": {
-            "expectation_series": "population_mean",
-            "recorded_window": "main loop only; warm-up excluded",
-        },
+        "mean_correlation": float(rho.mean()),
+        "runs": [],
+        "metadata": {"expectation_series": "population_mean",
+                     "recorded_window": "main loop only; warm-up excluded"},
     }
-    json.dump(record, fh, indent=2)
-    fh.write("\n")
+    head, tail = json.dumps(record, indent=2).split('"runs": []')  # json.dump's layout
+    fh.write(head + '"runs": [')
+    for index, value in enumerate(rho):  # one run at a time, from the rho array
+        fh.write(f'{"," if index else ""}\n    {{\n      "run_index": {index},\n'
+                 f'      "correlation": {json.dumps(float(value))}\n    }}')
+    fh.write("\n  ]" + tail + "\n")
 
 
 def _cmd_simulate(args) -> CommandOutcome:
@@ -202,15 +204,24 @@ def _cmd_simulate(args) -> CommandOutcome:
         raise ConfigError("an event model with probability or strength 0 never shocks:"
                           " give --event-p and --event-k above 0, or --no-events")
     with _open_outputs(args.out, args.scatter_out, args.summary) as (out, scatter_out, summary):
-        batch = engine.run_many(config, threads=args.threads)
-        if out:
-            market.write_trajectory(batch.runs[0].market, out)
+        results = engine.run_many(config, threads=args.threads)
+        alive = engine.pool_shape(config.n_runs, args.threads)[2]  # runs in the pool's window
+        check_memory(8 * config.n_runs + alive * series_bytes(config), f"{config.n_runs} batch runs")
+        rho = np.empty(config.n_runs)
+
+        def arrived(r):  # keep its rho and write run 0's trajectory; hand on its samples
+            rho[r.run_index] = r.correlation
+            if out and r.run_index == 0:
+                market.write_trajectory(r.market, out)
+            return r.run_index, (r.samples(0), r.samples(1)) if scatter_out else None
+
+        runs = map(arrived, results)
         if scatter_out:
-            runs = ((r.run_index, (r.samples(0), r.samples(1))) for r in batch.runs)
             sweep.write_scatter(runs, scatter_out)
+        deque(runs, maxlen=0)  # draw what no scatter file drew: every run, without one
         if summary:
-            _write_summary(summary, config, overrides, batch)
-    print(f"simulate: {config.n_runs} runs, mean correlation {batch.mean_correlation:+.4f}")
+            _write_summary(summary, config, overrides, rho)
+    print(f"simulate: {config.n_runs} runs, mean correlation {rho.mean():+.4f}")
     return CommandOutcome(0)
 
 
@@ -324,8 +335,8 @@ def _load_samples(paths) -> dict[int, list[tuple[np.ndarray, np.ndarray]]]:
                 raise ConfigError(f"{path}: unrecognized CSV header {header}")
             try:
                 if header == market.TRAJECTORY_COLUMNS:
-                    (x1, y1), (x2, y2) = runs[1, 0], runs[2, 0]
-                    for r in reader:
+                    for r in reader:  # a run's buffers are made with its first row
+                        (x1, y1), (x2, y2) = runs[1, 0], runs[2, 0]
                         x1.append(_finite(r[4]))
                         y1.append(_finite(r[2]))
                         x2.append(_finite(r[8]))

@@ -21,7 +21,7 @@ HOLD_DECISIONS = (-1, 0, 1)
 
 _MAX_MEMORY = 20  # 2^(m+1) strategy rows; anything bigger is a config mistake
 # bytes the largest holding an input may ask for: one stock's int64 strategy-table draw,
-# a run's series, a batch's or sweep's kept runs or the verify-appendix peak; see check_memory
+# a run's series, a batch's or sweep's arrays and pool window or the verify-appendix peak
 _MEMORY_BUDGET_BYTES = 1 << 30
 DEFAULT_EVENT_PROBABILITY = 0.0082  # the paper's; an event model without one takes it
 

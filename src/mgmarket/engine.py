@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import market, scoring, seeding, strategy
-from .config import _MEMORY_BUDGET_BYTES, ModelConfig, check_memory, series_bytes, validate
+from .config import _MEMORY_BUDGET_BYTES, ModelConfig, validate
 from .errors import CoefficientOutOfRangeError, NonPositivePriceError
 from .expectation import sample_couplings
 from .market import MarketState, StockSeries
@@ -53,9 +53,6 @@ from .stats import pearson
 
 # a type-row stock's latest state views fit a 64th of the budget: 8S+9 B a row, ≤704 B a state
 _VIEW_BYTES, _VIEW_ENTRY_BYTES = _MEMORY_BUDGET_BYTES >> 6, 704
-# bytes a batch keeps per run beside its series: the RunResult, MarketState, StockSeries and
-# array headers; tracemalloc read 1,619-1,686 over 2*10^4 runs at N=1 and 11, T=2 and 50
-_RESULT_BYTES = 1_700
 # tasks a pool worker takes at once: the bound on the tasks and results in flight
 _CHUNK_TASKS = 64
 
@@ -259,29 +256,32 @@ def run(config: ModelConfig, run_index: int) -> RunResult:
     return RunResult(state, rho, run_index, shock_amplitudes)
 
 
-@dataclass(frozen=True)
-class BatchResult:
-    runs: list[RunResult]
-    mean_correlation: float
-
-
 def _run_chunk(fn, tasks: list) -> list:
     return [fn(task) for task in tasks]
 
 
-def pool_map(fn, tasks, count: int, threads: int | None):
-    """Yield ``fn(task)`` for each of the ``count`` ``tasks`` in order, over ``threads``
-    worker processes, at most one per task and per CPU the process may run on, if more
-    than one: each takes about eight chunks of at most ``_CHUNK_TASKS`` tasks, with two
-    a worker in flight.  A task that raises cancels the chunks not yet started."""
+def pool_shape(count: int, threads: int | None) -> tuple[int, int, int]:
+    """:func:`pool_map`'s workers, tasks a chunk and most results alive at once over ``count``
+    tasks: a worker per task and CPU the process may run on, up to ``threads``, each taking
+    about eight chunks of at most ``_CHUNK_TASKS``, two in flight beside the one handed out."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = min(threads or 1, count, cpus or 1)
-    if workers <= 1:
+    if workers <= 1:  # serially one result at a time, and no chunk to size for no task
+        return 1, 1, 1
+    chunk = min(_CHUNK_TASKS, max(1, count // (workers * 8)))
+    return workers, chunk, min(count, (2 * workers + 1) * chunk)
+
+
+def pool_map(fn, tasks, count: int, threads: int | None):
+    """Yield ``fn(task)`` for each of the ``count`` ``tasks`` in order, over the processes of
+    :func:`pool_shape` if more than one.  A task that raises cancels the chunks not yet started."""
+    workers, chunk, _alive = pool_shape(count, threads)
+    if workers == 1:
         yield from map(fn, tasks)
         return
     from concurrent.futures import ProcessPoolExecutor  # a serial map need not import it
     from itertools import islice
-    chunk, tasks = min(_CHUNK_TASKS, max(1, count // (workers * 8))), iter(tasks)
+    tasks = iter(tasks)
     parts = iter(lambda: list(islice(tasks, chunk)), [])  # drawn as the window moves on
     pool = ProcessPoolExecutor(max_workers=workers)
     try:
@@ -294,18 +294,7 @@ def pool_map(fn, tasks, count: int, threads: int | None):
         pool.shutdown(cancel_futures=True)
 
 
-def run_many(config: ModelConfig, threads: int | None = None) -> BatchResult:
-    """Execute ``config.n_runs`` independent runs and average the correlation.
-
-    Runs are seeded by index, so results do not depend on execution order or
-    worker count.  Every run is kept, its series and ``_RESULT_BYTES`` of objects
-    around them, so a batch past the memory budget is refused before its first run.
-    """
+def run_many(config: ModelConfig, threads: int | None = None):
+    """Validate ``config``, then iterate over its runs in order, seeded by index, keeping none."""
     validate(config)
-    check_memory(config.n_runs * (_RESULT_BYTES + series_bytes(config)),
-                 f"{config.n_runs} kept runs")
-    runs = range(config.n_runs)
-    results = list(pool_map(functools.partial(run, config), runs, len(runs), threads))
-    mean_rho = float(np.mean([r.correlation for r in results]))
-    return BatchResult(runs=results, mean_correlation=mean_rho)
-
+    return pool_map(functools.partial(run, config), range(config.n_runs), config.n_runs, threads)

@@ -105,9 +105,9 @@ def _sweep(
     on a homogeneous or the base's uniform coupling, seeded by :func:`cell_seed`,
     so a cell's runs under each strength are paired.  A strength shocks at the
     base's event probability, or the paper's without an event model; None runs
-    unshocked.  A sweep whose arrays pass the memory budget is refused first, and a
-    bad cell before the first run; the cells are rebuilt as :func:`engine.pool_map`
-    draws their tasks, and each result fills the arrays.  One grid per strength.
+    unshocked.  A sweep past the memory budget is refused first, and a bad cell before
+    the first run; the cells are rebuilt as :func:`engine.pool_map` draws their tasks,
+    and each result fills the arrays.  One grid per strength.
     """
     validate(base_config)
     probability = float(getattr(base_config.events, "probability", DEFAULT_EVENT_PROBABILITY))
@@ -123,7 +123,8 @@ def _sweep(
     runs = (cells := shape[0] * shape[1] * shape[2]) * shape[3]
     # float64s: a rho per run, with samples 2 series of 2 stocks, and a cell's mean and std
     per_run = 1 + 4 * base_config.horizon * collect_samples
-    check_memory(8 * (runs * per_run + 2 * cells), f"{runs} sweep runs")
+    alive = engine.pool_shape(runs, threads)[2]  # runs in the pool's window, beside the arrays
+    check_memory(8 * ((runs + alive) * per_run + 2 * cells), f"{runs} sweep runs")
 
     def cell_configs():  # in (shock, cell row, cell column) order, built anew on each pass
         for events in shocks:

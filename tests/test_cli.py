@@ -3,13 +3,15 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import mgmarket
-from mgmarket import ModelConfig, analytic, cli, engine, run
+from mgmarket import ModelConfig, analytic, cli, config, engine, run
 from mgmarket.cli import _load_samples, dispatch
 
 
@@ -269,52 +271,95 @@ def test_threads_far_past_the_runs_start_no_more_workers_than_runs(pool_workers,
     assert len(json.loads(summary.read_text())["runs"]) == 2
 
 
-def test_runs_whose_series_exceed_the_budget_are_refused_before_any_run(monkeypatch):
-    def no_run(*_args):
-        raise AssertionError("a run started")
+def _no_run(*_args):
+    raise AssertionError("a run started")
 
-    monkeypatch.setattr(engine, "run", no_run)
-    # 80,080 bytes of series and 1,700 of objects per run at the defaults
-    outcome = run_cli("simulate", "--runs", "13130", "--threads", "1")
+
+def test_runs_whose_series_exceed_the_budget_are_refused_before_any_run(monkeypatch):
+    # a float64 rho per run, and serially one run's 80,080 bytes of series at the defaults
+    monkeypatch.setattr(engine, "run", _no_run)
+    outcome = run_cli("simulate", "--runs", "134207719", "--threads", "1")
     assert outcome.exit_code == 1
-    assert outcome.message == ("config.validate: 13130 kept runs need 1073771400 bytes,"
+    assert outcome.message == ("config.validate: 134207719 batch runs need 1073741832 bytes,"
                                " over the 1073741824-byte limit")
 
 
 def test_largest_run_count_within_the_budget_is_accepted(monkeypatch):
+    # at a 100,000-byte budget: 8 bytes a run beside one run's 80,080 bytes fit 2,490 runs
+    monkeypatch.setattr(config, "_MEMORY_BUDGET_BYTES", 100_000)
     monkeypatch.setattr(engine, "run", lambda config, index: engine.RunResult(None, 0.0, index))
-    outcome = run_cli("simulate", "--runs", "13129", "--threads", "1")
-    assert outcome.exit_code == 0
+    assert run_cli("simulate", "--runs", "2490", "--threads", "1").exit_code == 0
+    outcome = run_cli("simulate", "--runs", "2491", "--threads", "1")
+    assert outcome.message == ("config.validate: 2491 batch runs need 100008 bytes,"
+                               " over the 100000-byte limit")
 
 
 def test_short_runs_are_refused_by_the_objects_each_keeps(monkeypatch):
-    # 240 bytes of series per run at N=1, T=2, but 1,700 more of objects around them:
-    # the series alone would fit 4,473,924 runs in the budget
-    def no_run(*_args):
-        raise AssertionError("a run started")
-
-    monkeypatch.setattr(engine, "run", no_run)
-    outcome = run_cli("simulate", "--n-agents", "1", "--horizon", "2", "--runs", "4473924",
+    # 240 bytes of series at N=1, T=2, but 8 bytes of rho for every run: 134,217,699
+    # runs are the fewest past the budget
+    monkeypatch.setattr(engine, "run", _no_run)
+    outcome = run_cli("simulate", "--n-agents", "1", "--horizon", "2", "--runs", "134217699",
                       "--threads", "1")
     assert outcome.exit_code == 1
-    assert outcome.message == ("config.validate: 4473924 kept runs need 8679412560 bytes,"
+    assert outcome.message == ("config.validate: 134217699 batch runs need 1073741832 bytes,"
                                " over the 1073741824-byte limit")
 
 
-def test_sweep_runs_past_the_budget_are_refused_before_any_run(monkeypatch, tmp_path):
-    def no_run(*_args):
-        raise AssertionError("a run started")
+def test_runs_alive_in_the_pool_window_are_counted(monkeypatch):
+    # two workers take chunks of 3 of the 50 runs: 15 alive at once, 80,000,080 bytes each
+    monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: set(range(2)), raising=False)
+    monkeypatch.setattr(engine, "run", _no_run)
+    argv = ("simulate", "--horizon", "1000000", "--runs", "50")
+    outcome = run_cli(*argv, "--threads", "2")
+    assert outcome.exit_code == 1
+    assert outcome.message == ("config.validate: 50 batch runs need 1200001600 bytes,"
+                               " over the 1073741824-byte limit")
+    monkeypatch.setattr(engine, "run", lambda config, index: engine.RunResult(None, 0.0, index))
+    assert run_cli(*argv, "--threads", "1").exit_code == 0
 
-    monkeypatch.setattr(engine, "run", no_run)
-    outcome = run_cli("sweep", "--experiment", "homogeneous", "--runs", "1000000000000")
+
+def test_simulate_holds_no_more_than_its_memory_rule_counts(monkeypatch, tmp_path):
+    # each run is stubbed, fresh series and all, so what simulate holds while it streams
+    # runs to its files is all that is traced: from 1,000 to 10,000 runs its peak grows by
+    # at most what the rule's count grows
+    def fresh_run(_config, index):
+        series = np.zeros((2, 2, 50))
+        return SimpleNamespace(run_index=index, correlation=index / 10**4,
+                               samples=lambda stock: series[stock])
+
+    monkeypatch.setattr(engine, "run", fresh_run)
+    counted = []
+    monkeypatch.setattr(cli, "check_memory", lambda nbytes, _what: counted.append(nbytes))
+    peaks = []
+    for runs in (1_000, 1_000, 10_000):  # the first pass warms what simulate fills once
+        scatter, summary = tmp_path / f"s{len(peaks)}.csv", tmp_path / f"s{len(peaks)}.json"
+        tracemalloc.start()
+        try:
+            outcome = run_cli("simulate", "--n-agents", "1", "--horizon", "50", "--runs", str(runs),
+                              "--threads", "1", "--scatter-out", str(scatter),
+                              "--summary", str(summary))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert outcome.exit_code == 0
+        peaks.append(peak)
+    assert len(json.loads(summary.read_text())["runs"]) == 10_000
+    assert peaks[2] - peaks[1] <= counted[2] - counted[1] + (64 << 10)
+
+
+def test_sweep_runs_past_the_budget_are_refused_before_any_run(monkeypatch, tmp_path):
+    monkeypatch.setattr(engine, "run", _no_run)
+    outcome = run_cli("sweep", "--experiment", "homogeneous", "--runs", "1000000000000",
+                      "--threads", "1")
     assert outcome.exit_code == 1
     assert outcome.message == ("config.validate: 441000000000000 sweep runs need"
-                               " 3528000000007056 bytes, over the 1073741824-byte limit")
+                               " 3528000000007064 bytes, over the 1073741824-byte limit")
     # the default events sweep keeps 88,200 runs' samples for its scatter file
     scatter = tmp_path / "s.csv"
-    outcome = run_cli("sweep", "--experiment", "events", "--scatter-out", str(scatter))
+    outcome = run_cli("sweep", "--experiment", "events", "--scatter-out", str(scatter),
+                      "--threads", "1")
     assert outcome.exit_code == 1
-    assert outcome.message.startswith("config.validate: 88200 sweep runs need 2823133824 bytes")
+    assert outcome.message.startswith("config.validate: 88200 sweep runs need 2823165832 bytes")
     assert not scatter.exists()
 
 
@@ -621,14 +666,22 @@ def test_regress_missing_file_is_runtime_error(tmp_path):
     assert outcome.exit_code == 2
 
 
-@pytest.mark.parametrize("verb", ["regress", "ar1"])
-def test_report_on_input_without_samples_is_runtime_error(tmp_path, verb):
-    scatter = tmp_path / "empty.csv"
-    scatter.write_text("stock,run,t,expected_return,return\n")
+HEADERS = {"scatter": "stock,run,t,expected_return,return",
+           "trajectory": "t,P1,r1,A1,re1_mean,P2,r2,A2,re2_mean"}
+
+
+@pytest.mark.parametrize(
+    "verb,source",
+    [("regress", "scatter"), ("ar1", "scatter"), ("regress", "trajectory"), ("ar1", "trajectory")],
+    ids=["regress", "ar1", "trajectory-regress", "trajectory-ar1"],
+)
+def test_report_on_input_without_samples_is_runtime_error(tmp_path, verb, source):
+    empty = tmp_path / "empty.csv"
+    empty.write_text(HEADERS[source] + "\n")
     report = tmp_path / "report.csv"
-    outcome = run_cli(verb, str(scatter), "--out", str(report))
+    outcome = run_cli(verb, str(empty), "--out", str(report))
     assert outcome.exit_code == 2
-    assert outcome.message == f"stats: no samples in {scatter}"
+    assert outcome.message == f"stats: no samples in {empty}"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["empty.csv"]
 
 

@@ -18,7 +18,7 @@ from mgmarket import (
     to_text,
     validate,
 )
-from mgmarket import analytic, config, engine, sweep
+from mgmarket import analytic, cli, config, engine, sweep
 from mgmarket.config import from_items, parse_items
 
 from conftest import small_config
@@ -307,17 +307,23 @@ def _never(*_args):
     raise AssertionError("refused too late")
 
 
+def _simulate(*argv):
+    """The ``simulate`` verb's handler, whose refusals raise rather than exit."""
+    args = cli.build_parser().parse_args(["simulate", *argv])
+    return args.handler(args)
+
+
 @pytest.mark.parametrize(
     "refused,message",
     [(lambda: validate(ModelConfig(n_agents=101, memory=3)),
       "one stock's strategy tables at n_agents=101, n_strategies=2, memory=3 need 25856 bytes"),
      (lambda: validate(ModelConfig(n_agents=1, horizon=200)),
       "one run's series at horizon=200 need 16080 bytes"),
-     (lambda: engine.run_many(ModelConfig(n_agents=1, horizon=2, n_runs=10), threads=1),
-      "10 kept runs need 19400 bytes"),
-     (lambda: sweep._sweep(ModelConfig(n_agents=1, horizon=2, n_runs=1249), "homogeneous",
+     (lambda: _simulate("--n-agents", "1", "--horizon", "2", "--runs", "1221", "--threads", "1"),
+      "1221 batch runs need 10008 bytes"),
+     (lambda: sweep._sweep(ModelConfig(n_agents=1, horizon=2, n_runs=1248), "homogeneous",
                            ([0.5], [0.5]), 1, False),
-      "1249 sweep runs need 10008 bytes"),
+      "1248 sweep runs need 10008 bytes"),
      (lambda: analytic.verify_appendix(n_samples=400), "400 samples need 12800 bytes")],
     ids=["strategy-tables", "series", "run-many", "sweep", "verify-appendix"],
 )

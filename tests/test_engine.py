@@ -432,24 +432,25 @@ def test_holding_breaks_demand_parity():
     assert np.abs(demands).max() <= 11
 
 
-def correlations(batch):
-    return [r.correlation for r in batch.runs]
+def correlations(runs):
+    return [r.correlation for r in runs]
 
 
 def test_run_many_mean_and_determinism():
     cfg = small_config(n_runs=4)
-    batch1 = run_many(cfg)
-    batch2 = run_many(cfg)
-    assert batch1.mean_correlation == batch2.mean_correlation
-    assert batch1.mean_correlation == pytest.approx(np.mean(correlations(batch1)))
-    single = run_many(replace(cfg, n_runs=1))
-    assert single.mean_correlation == single.runs[0].correlation
+    batch1 = list(run_many(cfg))
+    batch2 = list(run_many(cfg))
+    assert [r.run_index for r in batch1] == [0, 1, 2, 3]
+    assert np.mean(correlations(batch1)) == np.mean(correlations(batch2))
+    assert correlations(batch1) == [run(cfg, i).correlation for i in range(4)]
+    single = list(run_many(replace(cfg, n_runs=1)))
+    assert np.mean(correlations(single)) == single[0].correlation
 
 
 def test_run_many_parallel_matches_serial():
     cfg = small_config(n_runs=4)
-    serial = run_many(cfg, threads=1)
-    parallel = run_many(cfg, threads=2)
+    serial = list(run_many(cfg, threads=1))
+    parallel = list(run_many(cfg, threads=2))
     assert correlations(serial) == correlations(parallel)
 
 
@@ -516,18 +517,20 @@ def _no_run(*_args):
 
 
 def test_run_many_refuses_series_past_the_budget_before_any_run(monkeypatch):
-    # 80 bytes per warm-up or recorded step and 1,700 of objects per run: 13,130 runs
-    # of 1 + 1,000 steps need 1,073,771,400 bytes, past 1 GiB
+    # 80 bytes per warm-up or recorded step: one run of 1 + 13,421,772 steps is past
+    # 1 GiB, refused at the call, before the iterator is drawn from
     monkeypatch.setattr(engine, "run", _no_run)
-    with pytest.raises(ConfigError, match="^13130 kept runs need 1073771400 bytes,"
-                                          " over the 1073741824-byte limit$"):
-        run_many(ModelConfig(n_runs=13_130), threads=1)
+    with pytest.raises(ConfigError, match="^one run's series at horizon=13421772 need"
+                                          " 1073741840 bytes, over the 1073741824-byte limit$"):
+        run_many(ModelConfig(horizon=13_421_772), threads=1)
 
 
 def test_run_many_accepts_the_largest_batch_within_the_budget(monkeypatch):
+    # it keeps no run, so only one run's series is bounded: 13,130 runs, which the old
+    # count of kept runs refused, stream at the largest horizon within the budget
     monkeypatch.setattr(engine, "run", lambda config, index: engine.RunResult(None, 0.0, index))
-    batch = run_many(ModelConfig(n_runs=13_129), threads=1)
-    assert [r.run_index for r in batch.runs] == list(range(13_129))
+    runs = run_many(ModelConfig(horizon=13_421_771, n_runs=13_130), threads=1)
+    assert [r.run_index for r in runs] == list(range(13_130))
 
 
 def test_nonpositive_price_aborts_with_context():
@@ -542,9 +545,9 @@ def test_nonpositive_price_aborts_with_context():
 def test_nonpositive_price_error_crosses_the_process_pool_intact():
     cfg = small_config(initial_price=1.0)
     with pytest.raises(NonPositivePriceError) as serial:
-        run_many(cfg, threads=1)
+        list(run_many(cfg, threads=1))
     with pytest.raises(NonPositivePriceError) as pooled:
-        run_many(cfg, threads=2)
+        list(run_many(cfg, threads=2))
     assert str(pooled.value) == str(serial.value)
     assert (pooled.value.price, pooled.value.stock, pooled.value.step) == (
         serial.value.price, serial.value.stock, serial.value.step
@@ -589,10 +592,10 @@ def test_swap_symmetry_statistical():
     from scipy.stats import ks_2samp
 
     runs = 30
-    one = run_many(small_config(coupling=HomogeneousCoupling(0.8, 0.2),
-                                n_agents=101, horizon=300, n_runs=runs, master_seed=41))
-    two = run_many(small_config(coupling=HomogeneousCoupling(0.2, 0.8),
-                                n_agents=101, horizon=300, n_runs=runs, master_seed=42))
+    one = list(run_many(small_config(coupling=HomogeneousCoupling(0.8, 0.2),
+                                     n_agents=101, horizon=300, n_runs=runs, master_seed=41)))
+    two = list(run_many(small_config(coupling=HomogeneousCoupling(0.2, 0.8),
+                                     n_agents=101, horizon=300, n_runs=runs, master_seed=42)))
     assert ks_2samp(correlations(one), correlations(two)).pvalue > 0.01
 
 
@@ -600,9 +603,9 @@ def test_cross_seed_stability_of_strong_coupling():
     # full-scale cell; batch means from disjoint seeds agree
     cfg = small_config(coupling=HomogeneousCoupling(0.9, 0.9),
                        n_agents=1001, horizon=1000, n_runs=12)
-    a = run_many(replace(cfg, master_seed=1001), threads=2)
-    b = run_many(replace(cfg, master_seed=2002), threads=2)
-    assert abs(a.mean_correlation - b.mean_correlation) < 0.1
+    a = np.mean(correlations(run_many(replace(cfg, master_seed=1001), threads=2)))
+    b = np.mean(correlations(run_many(replace(cfg, master_seed=2002), threads=2)))
+    assert abs(a - b) < 0.1
 
 
 def test_heterogeneous_run_uses_sampled_couplings():

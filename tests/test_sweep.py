@@ -1,4 +1,5 @@
 import io
+import os
 import tracemalloc
 import warnings
 from types import SimpleNamespace
@@ -264,18 +265,19 @@ def _no_run(*_args):
 
 @pytest.mark.parametrize(
     "config,axes,collect,strengths,message",
-    [(small_config(n_runs=134_217_727), [0.5], False, (None,),
-      "134217727 sweep runs need 1073741832 bytes"),
-     (small_config(n_runs=34, horizon=1_000_000), [0.5], True, (None,),
-      "34 sweep runs need 1088000288 bytes"),
+    [(small_config(n_runs=134_217_726), [0.5], False, (None,),
+      "134217726 sweep runs need 1073741832 bytes"),
+     (small_config(n_runs=33, horizon=1_000_000), [0.5], True, (None,),
+      "33 sweep runs need 1088000288 bytes"),
      # the default events sweep with its samples kept: 441 cells, 50 runs, 4 strengths
-     (ModelConfig(), None, True, sweep.DEFAULT_K_VALUES, "88200 sweep runs need 2823133824 bytes")],
+     (ModelConfig(), None, True, sweep.DEFAULT_K_VALUES, "88200 sweep runs need 2823165832 bytes")],
     ids=["runs", "samples", "default-events-samples"],
 )
 def test_sweep_past_the_budget_is_refused_before_its_task_list(monkeypatch, config, axes,
                                                                collect, strengths, message):
-    # 8 bytes a run for its rho, with samples 32 more per recorded step, and 16 a cell for
-    # its mean and std; refused before any run, and before a cell is built
+    # 8 bytes a run for its rho, with samples 32 more per recorded step, for the arrays' runs
+    # and the one run alive serially, and 16 a cell for its mean and std; refused before any
+    # run, and before a cell is built
     monkeypatch.setattr(engine, "run", _no_run)
     tracemalloc.start()
     try:
@@ -288,12 +290,27 @@ def test_sweep_past_the_budget_is_refused_before_its_task_list(monkeypatch, conf
 
 
 def test_largest_sweep_within_the_budget_is_accepted(monkeypatch):
-    # 33 runs of 1,000,000 recorded steps with samples hold 1,056,000,280 bytes; the
-    # stub hands back no series, so the samples array is allocated but never written
+    # 32 runs of 1,000,000 recorded steps with samples, and the one alive serially, hold
+    # 1,056,000,280 bytes; the stub hands back no series, so the samples array is
+    # allocated but never written
     monkeypatch.setattr(sweep, "_cell_task", lambda task: (0.0, None))
-    config = small_config(n_runs=33, horizon=1_000_000)
+    config = small_config(n_runs=32, horizon=1_000_000)
     grid, = sweep._sweep(config, "homogeneous", ([0.5], [0.5]), 1, True)
-    assert grid.n_runs == 33 and grid.samples[0][0].shape == (33, 2, 2, 1_000_000)
+    assert grid.n_runs == 32 and grid.samples[0][0].shape == (32, 2, 2, 1_000_000)
+
+
+def test_sweep_counts_the_runs_alive_in_the_pool_window(monkeypatch):
+    # two workers take one-run chunks of the 30 runs: 5 alive at once, each with its
+    # samples, so 35 runs of 1,000,000 steps are counted; serially 31, within the budget
+    monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: set(range(2)), raising=False)
+    monkeypatch.setattr(engine, "run", _no_run)
+    config = small_config(n_runs=30, horizon=1_000_000)
+    with pytest.raises(ConfigError, match="^30 sweep runs need 1120000296 bytes,"
+                                          " over the 1073741824-byte limit$"):
+        sweep._sweep(config, "homogeneous", ([0.5], [0.5]), 2, True)
+    monkeypatch.setattr(sweep, "_cell_task", lambda task: (0.0, None))
+    grid, = sweep._sweep(config, "homogeneous", ([0.5], [0.5]), 1, True)
+    assert grid.n_runs == 30
 
 
 def test_sweep_abort_is_the_same_error_serial_and_pooled():
